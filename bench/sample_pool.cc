@@ -1,10 +1,12 @@
 // Phase-3 throughput: per-candidate Monte Carlo (the paper's approach —
 // every candidate redraws the full sample budget) vs the shared per-query
 // SamplePool (draw once, count per candidate) vs the pool with block-wise
-// Wilson early termination — plus the kernel-level roofline (scalar
-// reference vs the dispatched SIMD kernel, plain and fused
-// transform-and-count). Emits BENCH_phase3.json so the perf trajectory is
-// machine-trackable across PRs.
+// Wilson early termination vs the cell-ordered pool's exact pruned count
+// (the fixed-budget decision counting only the samples a candidate's δ-ball
+// can reach) — plus the kernel-level roofline (scalar reference vs the
+// dispatched SIMD kernel, plain and fused transform-and-count). Emits
+// BENCH_phase3.json, headed by the machine facts (cores, dispatched
+// kernel), so the perf trajectory is machine-trackable across PRs.
 //
 // Env overrides: GPRQ_MC_SAMPLES (default 100000), GPRQ_BENCH_CANDIDATES
 // (default 100), GPRQ_TRIALS (default 3), GPRQ_BENCH_JSON (output path,
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -164,6 +167,7 @@ void Run() {
   Mode per_candidate{"per-candidate"};
   Mode pooled{"pooled"};
   Mode pooled_early{"pooled+early-stop"};
+  Mode pooled_pruned{"pooled+pruned"};
 
   for (uint64_t t = 0; t < trials; ++t) {
     // Per-candidate: the paper's cost model — each candidate redraws the
@@ -216,16 +220,46 @@ void Run() {
           static_cast<double>(used) / static_cast<double>(candidates);
       pooled_early.qualifying = qualifying;
     }
+    // Pooled + pruned: the same draws laid out in grid cells; each
+    // candidate's fixed-budget decision counts only the cells its δ-ball
+    // reaches and stops once hits ≥ θ·n or can no longer get there —
+    // bit-identical to the full-pool count above.
+    {
+      size_t qualifying = 0;
+      uint64_t examined = 0;
+      Stopwatch timer;
+      const mc::SamplePool pool(*g, samples, 100 + t,
+                                mc::PoolVariant::kPseudoRandom,
+                                mc::PoolLayout::kCells);
+      for (const auto& o : objects) {
+        const auto decision = pool.DecideExact(o, delta, theta, {});
+        qualifying +=
+            decision.outcome == mc::SamplePool::ExactDecision::kQualifies;
+        examined += decision.examined;
+      }
+      pooled_pruned.seconds += timer.ElapsedSeconds();
+      pooled_pruned.samples_per_candidate +=
+          static_cast<double>(examined) / static_cast<double>(candidates);
+      pooled_pruned.qualifying = qualifying;
+    }
   }
 
   const double tf = static_cast<double>(trials);
   const double base_throughput =
       static_cast<double>(candidates) * tf / per_candidate.seconds;
   bench::JsonReport report;
+  const unsigned cores = std::thread::hardware_concurrency();
+  const char* kernel = mc::simd::KernelName(mc::simd::DispatchedKind());
+  std::printf("machine: %u cores, dispatched kernel %s\n\n", cores, kernel);
+  report.Add("machine", bench::JsonValue::Object()
+                            .Set("nproc", bench::JsonValue(
+                                              static_cast<double>(cores)))
+                            .Set("kernel", bench::JsonValue(kernel)));
   std::printf("%-22s%14s%18s%14s%12s\n", "phase-3 path", "phase3 (ms)",
               "samples/cand", "cand/sec", "speedup");
   bench::Rule(80);
-  for (const Mode* mode : {&per_candidate, &pooled, &pooled_early}) {
+  for (const Mode* mode :
+       {&per_candidate, &pooled, &pooled_early, &pooled_pruned}) {
     const double throughput =
         static_cast<double>(candidates) * tf / mode->seconds;
     const double speedup = throughput / base_throughput;
@@ -244,9 +278,9 @@ void Run() {
   }
 
   std::printf("\nanswer agreement: per-candidate=%zu pooled=%zu "
-              "pooled+early=%zu of %llu\n",
+              "pooled+early=%zu pooled+pruned=%zu of %llu\n",
               per_candidate.qualifying, pooled.qualifying,
-              pooled_early.qualifying,
+              pooled_early.qualifying, pooled_pruned.qualifying,
               static_cast<unsigned long long>(candidates));
   RunKernelBench(report, trials);
   if (report.WriteFile(json_path)) {
@@ -254,7 +288,8 @@ void Run() {
   }
   std::printf("\nexpected shape: pooled >= 5x per-candidate (sampling "
               "amortized from candidates*n to n transforms), early-stop "
-              "several-fold above that.\n");
+              "several-fold above that; pruned answers identical to "
+              "pooled.\n");
 }
 
 }  // namespace

@@ -48,14 +48,16 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The bytes the entry holds: the struct plus every heap buffer it owns,
+// at capacity.
 size_t EntryBytes(const CachedEntry& entry) {
   const size_t d = entry.dim;
   size_t bytes = sizeof(CachedEntry) + 2 * d * sizeof(double)  // box corners
                  + d * sizeof(double)                          // mean
                  + d * d * sizeof(double);                     // covariance
-  bytes += entry.candidates.size() *
-           (d * sizeof(double) + sizeof(std::pair<la::Vector, index::ObjectId>));
-  bytes += entry.ids.size() * sizeof(index::ObjectId);
+  bytes += entry.candidates.coords.capacity() * sizeof(double);
+  bytes += entry.candidates.ids.capacity() * sizeof(index::ObjectId);
+  bytes += entry.ids.capacity() * sizeof(index::ObjectId);
   return bytes;
 }
 
@@ -200,8 +202,7 @@ ResultCache::Lookup ResultCache::Find(const core::PrqQuery& query,
 
 void ResultCache::Insert(
     const core::PrqQuery& query, uint64_t config_bits,
-    const geom::Rect& search_box,
-    std::vector<std::pair<la::Vector, index::ObjectId>> candidates,
+    const geom::Rect& search_box, core::FlatCandidates candidates,
     std::vector<index::ObjectId> ids, uint64_t epoch) {
   const CacheMetrics& metrics = CacheMetrics::Get();
   auto entry = std::make_shared<CachedEntry>();

@@ -46,6 +46,9 @@ struct ResultCacheOptions {
 /// rule: re-filtering `candidates` at θ' (PrqEngine::FilterCandidateSet)
 /// reproduces the fresh survivor set exactly, and the deterministic
 /// per-query sample pool then reproduces the fresh decisions bit-for-bit.
+/// The candidates are held flat (core::FlatCandidates), not one vector per
+/// point: a cache full of 2-D entries would otherwise spend more on
+/// allocator headers than on coordinates.
 struct CachedEntry {
   size_t dim = 0;
   la::Vector mean;
@@ -56,7 +59,7 @@ struct CachedEntry {
   /// The cached query's Phase-1 search box; kept for region invalidation
   /// (an online update inside the box poisons the entry).
   geom::Rect search_box;
-  std::vector<std::pair<la::Vector, index::ObjectId>> candidates;
+  core::FlatCandidates candidates;
   std::vector<index::ObjectId> ids;
   size_t bytes = 0;
 };
@@ -128,8 +131,7 @@ class ResultCache {
   /// behind the cache's epoch (a commit invalidated since the pin), the
   /// answer may be stale for the live tree and is silently dropped.
   void Insert(const core::PrqQuery& query, uint64_t config_bits,
-              const geom::Rect& search_box,
-              std::vector<std::pair<la::Vector, index::ObjectId>> candidates,
+              const geom::Rect& search_box, core::FlatCandidates candidates,
               std::vector<index::ObjectId> ids, uint64_t epoch = 0);
 
   /// Drops every entry (dataset reload, evaluator reconfiguration).

@@ -90,10 +90,41 @@ Status PrqEngine::RunFilterPhases(const PrqQuery& query,
       outcome, stats, trace);
 }
 
-Status PrqEngine::FilterCandidateSet(
-    const PrqQuery& query, const PrqOptions& options,
-    const std::vector<std::pair<la::Vector, index::ObjectId>>& candidates,
-    FilterOutcome* outcome, PrqStats* stats, obs::QueryTrace* trace) const {
+FlatCandidates::FlatCandidates(
+    const std::vector<std::pair<la::Vector, index::ObjectId>>& points) {
+  Append(points);
+}
+
+void FlatCandidates::Append(
+    const std::vector<std::pair<la::Vector, index::ObjectId>>& points) {
+  if (points.empty()) return;
+  if (ids.empty()) dim = points.front().first.dim();
+  coords.reserve(coords.size() + points.size() * dim);
+  ids.reserve(ids.size() + points.size());
+  for (const auto& [point, id] : points) {
+    assert(point.dim() == dim);
+    coords.insert(coords.end(), point.data(), point.data() + dim);
+    ids.push_back(id);
+  }
+}
+
+void FlatCandidates::GatherContained(
+    const geom::Rect& box,
+    std::vector<std::pair<la::Vector, index::ObjectId>>* kept) const {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double* point = coords.data() + i * dim;
+    if (box.Contains(point)) {
+      kept->emplace_back(
+          la::Vector(std::vector<double>(point, point + dim)), ids[i]);
+    }
+  }
+}
+
+Status PrqEngine::FilterCandidateSet(const PrqQuery& query,
+                                     const PrqOptions& options,
+                                     const FlatCandidates& candidates,
+                                     FilterOutcome* outcome, PrqStats* stats,
+                                     obs::QueryTrace* trace) const {
   return RunFilterPhasesImpl(
       query, options,
       [&candidates](
@@ -104,9 +135,7 @@ Status PrqEngine::FilterCandidateSet(
         // superset. Rect::Contains is inclusive, exactly like RangeQuery's
         // region test, so the kept set equals the index answer whenever
         // `candidates` covers the box.
-        for (const auto& [point, id] : candidates) {
-          if (search_box.Contains(point)) kept->emplace_back(point, id);
-        }
+        candidates.GatherContained(search_box, kept);
       },
       outcome, stats, trace);
 }

@@ -19,6 +19,34 @@
 
 namespace gprq::core {
 
+/// Candidate points held flat: point i's coordinates are
+/// coords[i·dim, (i+1)·dim) and its id is ids[i]. Holding many points costs
+/// two allocations instead of one per point, which is how the result cache
+/// keeps its candidate supersets.
+struct FlatCandidates {
+  size_t dim = 0;
+  std::vector<double> coords;
+  std::vector<index::ObjectId> ids;
+
+  FlatCandidates() = default;
+  /// Flattens (point, id) pairs of one dimension (implicit, so pair lists
+  /// convert where a flat set is expected).
+  FlatCandidates(  // NOLINT(google-explicit-constructor)
+      const std::vector<std::pair<la::Vector, index::ObjectId>>& points);
+
+  size_t size() const { return ids.size(); }
+
+  /// Appends (point, id) pairs of dimension `dim` (or sets it when empty).
+  void Append(
+      const std::vector<std::pair<la::Vector, index::ObjectId>>& points);
+
+  /// Appends to `kept` the points inside `box` (inclusive, like an index
+  /// range query), materializing a vector only for those.
+  void GatherContained(
+      const geom::Rect& box,
+      std::vector<std::pair<la::Vector, index::ObjectId>>* kept) const;
+};
+
 /// Query criticality levels for overload admission (exec::OverloadPolicy):
 /// under pressure the serving layer sheds lower priorities first. Plain
 /// ints so callers can define intermediate levels; only the order matters.
@@ -126,11 +154,10 @@ class PrqEngine {
   /// the search box's index answer — the semantic result cache uses it to
   /// serve a narrower repeat query from a cached wider answer without
   /// touching the tree.
-  Status FilterCandidateSet(
-      const PrqQuery& query, const PrqOptions& options,
-      const std::vector<std::pair<la::Vector, index::ObjectId>>& candidates,
-      FilterOutcome* outcome, PrqStats* stats,
-      obs::QueryTrace* trace = nullptr) const;
+  Status FilterCandidateSet(const PrqQuery& query, const PrqOptions& options,
+                            const FlatCandidates& candidates,
+                            FilterOutcome* outcome, PrqStats* stats,
+                            obs::QueryTrace* trace = nullptr) const;
 
   /// Runs PRQ(q, δ, θ). `evaluator` supplies Phase-3 probabilities
   /// (Monte-Carlo or exact). If `stats` is non-null it receives phase

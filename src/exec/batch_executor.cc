@@ -423,14 +423,11 @@ Result<core::PrqResult> BatchExecutor::IntegrateAndPublish(
   // accepted ∪ survivors (see cache::CachedEntry for why that set is sound
   // for every θ' ≥ θ). The copy is only paid when the cache is on.
   const bool cacheable = cache_ != nullptr && !outcome.expired;
-  std::vector<std::pair<la::Vector, index::ObjectId>> candidates;
+  core::FlatCandidates candidates;
   geom::Rect search_box;
   if (cacheable) {
-    candidates.reserve(outcome.accepted.size() + outcome.survivors.size());
-    candidates.insert(candidates.end(), outcome.accepted.begin(),
-                      outcome.accepted.end());
-    candidates.insert(candidates.end(), outcome.survivors.begin(),
-                      outcome.survivors.end());
+    candidates.Append(outcome.accepted);
+    candidates.Append(outcome.survivors);
     search_box = outcome.search_box;
   }
   Result<core::PrqResult> result =

@@ -45,6 +45,10 @@ bool Rect::IsEmpty() const {
 
 bool Rect::Contains(const la::Vector& point) const {
   assert(point.dim() == dim());
+  return Contains(point.data());
+}
+
+bool Rect::Contains(const double* point) const {
   for (size_t i = 0; i < dim(); ++i)
     if (point[i] < lo_[i] || point[i] > hi_[i]) return false;
   return true;

@@ -38,6 +38,8 @@ class Rect {
   bool IsEmpty() const;
 
   bool Contains(const la::Vector& point) const;
+  /// Contains for a point stored as dim() contiguous coordinates.
+  bool Contains(const double* point) const;
   bool Contains(const Rect& other) const;
   bool Intersects(const Rect& other) const;
 

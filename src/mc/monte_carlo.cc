@@ -13,19 +13,27 @@ namespace {
 // stream even though both derive from options.seed.
 constexpr uint64_t kPoolStreamSalt = 0x9E3779B97F4A7C15ULL;
 
-// Same `gprq.mc.*` counters the adaptive paths record into. Fixed-budget
-// decisions always consume the full pool, so samples_used grows by n per
-// decision and early_stops stays flat — the budget-utilization contrast
-// the adaptive evaluator is measured against.
+// Same `gprq.mc.*` counters the adaptive paths record into. A fixed-budget
+// decision rests on the whole pool, so samples_used grows by n per decision
+// and early_stops stays flat — the budget-utilization contrast the adaptive
+// evaluator is measured against. samples_examined is what the pruned count
+// actually touched.
 struct FixedBudgetMetrics {
   obs::Counter* decisions;
   obs::Counter* samples_used;
+  obs::Counter* samples_examined;
+  obs::Counter* interrupted;
+  obs::Counter* budget_exhausted;
 
   static const FixedBudgetMetrics& Get() {
     static const FixedBudgetMetrics metrics = [] {
       obs::MetricRegistry& r = obs::MetricRegistry::Global();
-      return FixedBudgetMetrics{r.GetCounter("gprq.mc.decisions"),
-                                r.GetCounter("gprq.mc.samples_used")};
+      return FixedBudgetMetrics{
+          r.GetCounter("gprq.mc.decisions"),
+          r.GetCounter("gprq.mc.samples_used"),
+          r.GetCounter("gprq.mc.samples_examined"),
+          r.GetCounter("gprq.deadline.interrupted_decisions"),
+          r.GetCounter("gprq.overload.sample_budget_exhausted")};
     }();
     return metrics;
   }
@@ -76,22 +84,20 @@ double MonteCarloEvaluator::QualificationProbability(
 
 std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
     const core::GaussianDistribution& query) {
-  // A fresh stream per pool, keyed by the query itself: the pool is a pure
-  // function of (seed, query), never of pool-construction order.
-  rng::Random pool_random(options_.seed ^ kPoolStreamSalt ^
-                          QueryFingerprint(query));
-  return std::make_shared<const SamplePool>(query, options_.samples,
-                                            pool_random);
+  return MakeSamplePool(query, PoolVariant::kPseudoRandom);
 }
 
 std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
     const core::GaussianDistribution& query, PoolVariant variant) {
-  // The same pure-function-of-(seed, query) stream seed for both variants;
-  // the variant only selects how the pool turns it into samples.
+  // A fresh stream per pool, keyed by the query itself: the pool is a pure
+  // function of (seed, query), never of pool-construction order. The
+  // variant only selects how the pool turns it into samples; the cell
+  // layout only reorders them for the pruned count.
   const uint64_t stream_seed =
       options_.seed ^ kPoolStreamSalt ^ QueryFingerprint(query);
   return std::make_shared<const SamplePool>(query, options_.samples,
-                                            stream_seed, variant);
+                                            stream_seed, variant,
+                                            PoolLayout::kCells);
 }
 
 void MonteCarloEvaluator::DecideBatch(const core::GaussianDistribution& query,
@@ -104,18 +110,10 @@ void MonteCarloEvaluator::DecideBatch(const core::GaussianDistribution& query,
                                       pool, decisions);
     return;
   }
-  // Fixed-budget semantics over the shared pool: full-pool count per
-  // candidate, decision by point estimate (hits/n >= θ).
-  const FixedBudgetMetrics& metrics = FixedBudgetMetrics::Get();
-  const double delta_sq = delta * delta;
-  const uint64_t n = pool->size();
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t hits = pool->CountWithin(*objects[i], delta_sq, 0, n);
-    decisions[i] =
-        static_cast<double>(hits) >= theta * static_cast<double>(n) ? 1 : 0;
-  }
-  metrics.decisions->Add(count);
-  metrics.samples_used->Add(n * count);
+  // 0/1 are the kDecideExcluded/kDecideIncluded pair; nothing can stop an
+  // unbounded count, so every entry is decided.
+  DecidePooled(*pool, objects, count, delta, theta, SamplePool::ExactOptions(),
+               decisions);
 }
 
 void MonteCarloEvaluator::DecideBatchBounded(
@@ -127,50 +125,53 @@ void MonteCarloEvaluator::DecideBatchBounded(
                                              theta, pool, control, states);
     return;
   }
-  if (control.Unbounded()) {
-    // Bit-identical to the unbounded path (0/1 match the DecideState pair).
-    DecideBatch(query, objects, count, delta, theta, pool, states);
-    return;
+  // A brownout sample budget caps the samples each candidate may examine.
+  // The pruned count is exact whenever it settles, so a capped candidate
+  // either gets the unloaded answer bit-for-bit or stays undecided.
+  SamplePool::ExactOptions exact;
+  if (!control.Unbounded()) {
+    exact.control = &control;
+    exact.max_examined = control.sample_budget;
   }
-  if (control.sample_budget > 0 && control.sample_budget < pool->size()) {
-    // A fixed-budget point estimate cannot be truncated soundly (the
-    // unloaded answer needs the whole pool), so under a brownout sample
-    // budget this evaluator switches to the sequential Wilson test: a
-    // capped candidate either separates confidently or surfaces as
-    // undecided — never a cheaper point-estimate guess.
-    SamplePool::DecideOptions decide;
-    decide.control = &control;
-    decide.max_samples = control.sample_budget;
-    for (size_t i = 0; i < count; ++i) {
-      const SamplePool::Decision d =
-          pool->Decide(*objects[i], delta, theta, decide);
-      if (d.interrupted) {
-        for (size_t j = i; j < count; ++j) states[j] = kDecideUndecided;
-        return;
-      }
-      states[i] = (d.budget_exhausted || d.undecided)
-                      ? kDecideUndecided
-                      : (d.qualifies ? kDecideIncluded : kDecideExcluded);
-    }
-    return;
-  }
+  DecidePooled(*pool, objects, count, delta, theta, exact, states);
+}
+
+void MonteCarloEvaluator::DecidePooled(const SamplePool& pool,
+                                       const la::Vector* const* objects,
+                                       size_t count, double delta,
+                                       double theta,
+                                       const SamplePool::ExactOptions& exact,
+                                       char* states) {
   const FixedBudgetMetrics& metrics = FixedBudgetMetrics::Get();
-  const double delta_sq = delta * delta;
-  const uint64_t n = pool->size();
-  size_t decided = 0;
+  uint64_t decided = 0;
+  uint64_t examined = 0;
+  uint64_t exhausted = 0;
   for (size_t i = 0; i < count; ++i) {
-    if (control.ShouldStop()) {
+    const SamplePool::ExactDecision d =
+        pool.DecideExact(*objects[i], delta, theta, exact);
+    examined += d.examined;
+    if (d.outcome == SamplePool::ExactDecision::kInterrupted) {
+      // The interrupted candidate resolved nothing; it and everything
+      // after it surface as undecided.
+      metrics.interrupted->Add(1);
       for (size_t j = i; j < count; ++j) states[j] = kDecideUndecided;
       break;
     }
-    const uint64_t hits = pool->CountWithin(*objects[i], delta_sq, 0, n);
-    states[i] = static_cast<double>(hits) >= theta * static_cast<double>(n)
+    if (d.outcome == SamplePool::ExactDecision::kBudgetExhausted) {
+      // The budget is per candidate: the next one gets its own attempt.
+      ++exhausted;
+      states[i] = kDecideUndecided;
+      continue;
+    }
+    ++decided;
+    states[i] = d.outcome == SamplePool::ExactDecision::kQualifies
                     ? kDecideIncluded
                     : kDecideExcluded;
-    ++decided;
   }
   metrics.decisions->Add(decided);
-  metrics.samples_used->Add(n * decided);
+  metrics.samples_used->Add(pool.size() * decided);
+  metrics.samples_examined->Add(examined);
+  if (exhausted > 0) metrics.budget_exhausted->Add(exhausted);
 }
 
 }  // namespace gprq::mc

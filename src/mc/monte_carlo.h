@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "mc/probability_evaluator.h"
+#include "mc/sample_pool.h"
 #include "rng/random.h"
 
 namespace gprq::mc {
@@ -35,16 +36,19 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
 
   /// Batched Phase-3 over a shared per-query pool: the O(d²) sampling cost
   /// is paid once per query (in MakeSamplePool) and each candidate costs
-  /// only a full-pool squared-distance count. Without a pool, falls back to
-  /// the per-candidate path.
+  /// only SamplePool::DecideExact — the fixed-budget whole-pool decision
+  /// (hits ≥ θ·n), counting just the samples its δ-ball can reach. Without
+  /// a pool, falls back to the per-candidate path.
   void DecideBatch(const core::GaussianDistribution& query,
                    const la::Vector* const* objects, size_t count,
                    double delta, double theta, const SamplePool* pool,
                    char* decisions) override;
 
-  /// Bounded batch over the shared pool: full-pool counts per candidate
-  /// with a control check between candidates; remaining candidates are
-  /// marked kDecideUndecided once the control fires. Decided entries match
+  /// Bounded batch over the shared pool, through the same count: the
+  /// control is polled between kernel blocks, and once it fires the
+  /// current and remaining candidates are marked kDecideUndecided. A
+  /// brownout sample_budget caps the samples each candidate examines; one
+  /// that does not settle within it is undecided. Decided entries match
   /// DecideBatch bit-for-bit.
   void DecideBatchBounded(const core::GaussianDistribution& query,
                           const la::Vector* const* objects, size_t count,
@@ -56,7 +60,8 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   /// (options().seed, pool salt, QueryFingerprint(query)) — a pure function
   /// of evaluator seed and query, independent of how many pools were built
   /// before, so per-query Phase-3 results are reproducible on a long-lived
-  /// evaluator and unaffected by neighboring queries being skipped.
+  /// evaluator and unaffected by neighboring queries being skipped. The
+  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact.
   std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query) override;
 
@@ -82,6 +87,12 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
  private:
   uint64_t CountHits(const core::GaussianDistribution& query,
                      const la::Vector& object, double delta_sq, uint64_t n);
+
+  /// The one pooled decision loop behind DecideBatch and
+  /// DecideBatchBounded; writes kDecide* states.
+  void DecidePooled(const SamplePool& pool, const la::Vector* const* objects,
+                    size_t count, double delta, double theta,
+                    const SamplePool::ExactOptions& exact, char* states);
 
   Options options_;
   rng::Random random_;

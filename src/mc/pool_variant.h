@@ -28,6 +28,22 @@ enum class PoolVariant : uint8_t {
   kHalton = 1,
 };
 
+/// How a SamplePool orders the points it drew. The layout never changes
+/// which points a pool holds, so whole-pool counts — and every fixed-budget
+/// decision — are the same under both.
+///
+/// kDrawOrder keeps stream order: every prefix is an unbiased subsample,
+/// which the sequential Wilson test (SamplePool::Decide, the adaptive
+/// evaluator) relies on.
+///
+/// kCells sorts the points into the cells of a grid over the query's two
+/// widest axes, so an exact fixed-budget count visits only the cells a
+/// candidate's δ-ball can reach (SamplePool::DecideExact).
+enum class PoolLayout : uint8_t {
+  kDrawOrder = 0,
+  kCells = 1,
+};
+
 }  // namespace gprq::mc
 
 #endif  // GPRQ_MC_POOL_VARIANT_H_

@@ -110,7 +110,7 @@ class ProbabilityEvaluator {
   /// what the unbounded DecideBatch would have produced (the control only
   /// truncates work, it never alters it). The default checks the control
   /// between per-candidate decisions; sampling implementations override to
-  /// also check inside a candidate (between Wilson blocks), bounding the
+  /// also check inside a candidate (between count blocks), bounding the
   /// overshoot past a deadline by one block instead of one candidate.
   virtual void DecideBatchBounded(const core::GaussianDistribution& query,
                                   const la::Vector* const* objects,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/deadline.h"
@@ -51,8 +52,13 @@ uint64_t CanonicalDoubleBits(double v);
 /// Layout is dimension-major structure-of-arrays: coordinate a of all n
 /// samples is contiguous at data()[a·n .. a·n + n). The count kernel walks
 /// one axis stream at a time over a cache-sized block of samples,
-/// accumulating squared distances in a small scratch array — plain loops a
-/// compiler auto-vectorizes, no intrinsics.
+/// accumulating squared distances in a small scratch array.
+///
+/// Sample order is PoolLayout's choice. kDrawOrder keeps the draws in the
+/// order the stream produced them: a prefix is an unbiased subsample, which
+/// the sequential Wilson Decide needs. kCells permutes the same draws once
+/// into the cells of a grid over the query's two widest axes, so
+/// DecideExact counts only the cells a candidate's δ-ball can reach.
 ///
 /// A pool is immutable after construction, so one pool can be read by any
 /// number of worker threads concurrently (the fan-out unit in
@@ -75,11 +81,16 @@ class SamplePool {
   /// seeded with `seed`) mapped through the standard-normal quantile and
   /// the query's standard transform. Dimensions above
   /// rng::HaltonSequence::kMaxDim fall back to kPseudoRandom.
+  ///
+  /// `layout` only permutes the drawn samples (see PoolLayout): both
+  /// layouts hold the same multiset of points.
   SamplePool(const core::GaussianDistribution& query, uint64_t samples,
-             uint64_t seed, PoolVariant variant);
+             uint64_t seed, PoolVariant variant,
+             PoolLayout layout = PoolLayout::kDrawOrder);
 
   size_t dim() const { return dim_; }
   uint64_t size() const { return samples_; }
+  PoolLayout layout() const { return layout_; }
 
   /// Coordinate `axis` of all samples, contiguous (length size()).
   const double* axis(size_t axis) const { return data_.data() + axis * samples_; }
@@ -137,16 +148,73 @@ class SamplePool {
   /// Block-wise early-terminating decision: counts block_samples at a time
   /// and stops as soon as the Wilson interval of the running hit rate
   /// separates from θ — the AdaptiveMonteCarloEvaluator statistics, over
-  /// the shared pool. Thread-safe.
+  /// the shared pool. Requires a kDrawOrder pool (a prefix of a cell-ordered
+  /// pool is not a random subsample). Thread-safe.
   Decision Decide(const la::Vector& object, double delta, double theta,
                   DecideOptions options) const;
   Decision Decide(const la::Vector& object, double delta,
                   double theta) const;
 
+  struct ExactOptions {
+    /// Per-candidate cap on samples examined (0 = no cap), the brownout
+    /// knob: a candidate that has not resolved by then is kBudgetExhausted.
+    uint64_t max_examined = 0;
+    /// Optional deadline/cancellation, polled before the candidate's first
+    /// kernel call and then every 2048 samples examined (never inside a
+    /// kernel call). Null means unbounded.
+    const common::QueryControl* control = nullptr;
+  };
+  struct ExactDecision {
+    enum Outcome : uint8_t {
+      kQualifies,        // hits ≥ θ·n over the whole pool
+      kFails,            // hits < θ·n over the whole pool
+      kInterrupted,      // the control fired first; no answer
+      kBudgetExhausted,  // max_examined ran out first; no answer
+    };
+    Outcome outcome = kFails;
+    /// Samples the count kernel touched for this candidate.
+    uint64_t examined = 0;
+  };
+  /// The fixed-budget decision, exactly: does the whole-pool hit count
+  /// reach θ·n (compared as `double(hits) >= θ * double(n)`)? Counts only
+  /// the grid cells the candidate's δ-ball can reach, and stops as soon as
+  /// the answer is settled — hits ≥ θ·n, or hits plus the unvisited
+  /// reachable samples < θ·n. kQualifies/kFails are bit-identical to a
+  /// full-pool CountWithin for any layout (DESIGN.md §5b has the argument);
+  /// a kDrawOrder pool is one cell, so it just gets the early exits.
+  /// Thread-safe.
+  ExactDecision DecideExact(const la::Vector& object, double delta,
+                            double theta, ExactOptions options) const;
+
  private:
+  /// Actual coordinate bounds of one grid cell's samples on the two grid
+  /// axes (lo > hi when empty; ±inf on an axis the grid does not split).
+  struct CellBox {
+    double lo0, hi0, lo1, hi1;
+  };
+  static constexpr CellBox kUnboundedCell = {
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity()};
+
+  /// Permutes the draw-order samples into cell order and fills the grid.
+  void ArrangeInCells(const core::GaussianDistribution& query);
+
   size_t dim_;
   uint64_t samples_;
+  PoolLayout layout_ = PoolLayout::kDrawOrder;
   std::vector<double> data_;  // dimension-major: axis a at [a·n, a·n + n)
+  // The grid: columns split axis0_, rows split axis1_; cell (c, r) is
+  // c·grid_rows_ + r and holds samples [cell_begin_[i], cell_begin_[i+1]).
+  // A kDrawOrder pool is a single unbounded cell.
+  size_t axis0_ = 0;
+  size_t axis1_ = 0;
+  size_t grid_cols_ = 1;
+  size_t grid_rows_ = 1;
+  std::vector<uint64_t> cell_begin_;
+  std::vector<CellBox> cells_{kUnboundedCell};
+  std::vector<CellBox> columns_{kUnboundedCell};  // union of a column's boxes
 };
 
 }  // namespace gprq::mc

@@ -131,13 +131,16 @@ Result<core::PrqResult> LivePrqEngine::ExecuteBounded(
       {
         obs::QueryTrace::Span span(trace, obs::QueryTrace::kPhase2);
         Stopwatch watch;
-        core::RunPhase2(query, options, geometry,
-                        std::vector<std::pair<la::Vector, index::ObjectId>>(
-                            hit.entry->candidates),
-                        &outcome, &counts);
+        // Phase 1 over the cached superset: keep the points inside this
+        // query's search box, exactly what the snapshot's range query
+        // would return, and materialize vectors only for those.
+        std::vector<std::pair<la::Vector, index::ObjectId>> kept;
+        hit.entry->candidates.GatherContained(search_box, &kept);
+        out_stats.index_candidates = kept.size();
+        core::RunPhase2(query, options, geometry, std::move(kept), &outcome,
+                        &counts);
         out_stats.phase2_seconds = watch.ElapsedSeconds();
       }
-      out_stats.index_candidates = hit.entry->candidates.size();
       out_stats.pruned_rr_fringe = counts.pruned_rr_fringe;
       out_stats.pruned_bf_outer = counts.pruned_bf_outer;
       out_stats.pruned_or = counts.pruned_or;
@@ -231,14 +234,11 @@ Result<core::PrqResult> LivePrqEngine::IntegrateAndPublish(
     core::PrqEngine::FilterOutcome outcome, core::PrqStats* stats,
     obs::QueryTrace* trace) {
   const bool cacheable = cache_ != nullptr && !outcome.expired;
-  std::vector<std::pair<la::Vector, index::ObjectId>> candidates;
+  core::FlatCandidates candidates;
   geom::Rect search_box;
   if (cacheable) {
-    candidates.reserve(outcome.accepted.size() + outcome.survivors.size());
-    candidates.insert(candidates.end(), outcome.accepted.begin(),
-                      outcome.accepted.end());
-    candidates.insert(candidates.end(), outcome.survivors.begin(),
-                      outcome.survivors.end());
+    candidates.Append(outcome.accepted);
+    candidates.Append(outcome.survivors);
     search_box = outcome.search_box;
   }
   Result<core::PrqResult> result = executor_->IntegrateOutcomeBounded(

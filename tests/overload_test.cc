@@ -31,6 +31,7 @@
 #include "index/paged_tree.h"
 #include "index/str_bulk_load.h"
 #include "mc/adaptive_monte_carlo.h"
+#include "mc/monte_carlo.h"
 #include "obs/metrics.h"
 #include "workload/generators.h"
 
@@ -453,6 +454,67 @@ TEST(BrownoutTest, CappedAnswersMatchTheUnloadedRunOrComeBackUndecided) {
   for (const auto id : full_ids) {
     EXPECT_TRUE(capped_ids.count(id) || undecided.count(id))
         << "qualifier " << id << " silently dropped under brownout";
+  }
+}
+
+core::PrqEngine::EvaluatorFactory FixedBudgetFactory(uint64_t samples) {
+  return [samples](size_t worker)
+             -> std::unique_ptr<mc::ProbabilityEvaluator> {
+    return std::make_unique<mc::MonteCarloEvaluator>(
+        mc::MonteCarloOptions{.samples = samples, .seed = 7 + worker});
+  };
+}
+
+/// The fixed-budget evaluator's brownout caps how many samples each
+/// candidate's exact pruned count may examine. A candidate that settles
+/// within the cap gets the unloaded answer; the rest are undecided.
+TEST(BrownoutTest, FixedBudgetCappedAnswersMatchTheUnloadedRun) {
+  const auto fixture = EngineFixture::Make();
+  const core::PrqEngine engine(&fixture.tree);
+  // θ = 0.1 on the fixture's line: θ·n = 10,000 hits, so candidates deep
+  // inside settle well within the cap, and the ones near θ, whose δ-disks
+  // reach far more samples than that, cannot.
+  auto query = fixture.AmbiguousQuery();
+  query.theta = 0.1;
+
+  auto full_exec =
+      exec::BatchExecutor::Create(&engine, FixedBudgetFactory(100000), 2);
+  ASSERT_TRUE(full_exec.ok());
+  auto full = (*full_exec)->SubmitBounded(query, core::PrqOptions());
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(full->complete());
+  ASSERT_FALSE(full->ids.empty());
+
+  auto capped_exec =
+      exec::BatchExecutor::Create(&engine, FixedBudgetFactory(100000), 2);
+  ASSERT_TRUE(capped_exec.ok());
+  core::PrqOptions capped_options;
+  capped_options.control.sample_budget = 12000;
+  const uint64_t exhausted_before =
+      CounterValue("gprq.overload.sample_budget_exhausted");
+  auto capped = (*capped_exec)->SubmitBounded(query, capped_options);
+  ASSERT_TRUE(capped.ok());
+  ASSERT_FALSE(capped->ids.empty());
+  ASSERT_FALSE(capped->undecided.empty());
+  EXPECT_EQ(capped->status.code(), StatusCode::kResourceExhausted);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(CounterValue("gprq.overload.sample_budget_exhausted"),
+              exhausted_before);
+  }
+
+  // Every decided candidate agrees with the unloaded run: included ids are
+  // in the full answer, and every full-answer id the capped run did not
+  // include is undecided (so none was decided excluded).
+  const auto full_ids = AsSet(full->ids);
+  const auto capped_ids = AsSet(capped->ids);
+  const auto undecided = AsSet(capped->undecided);
+  for (const auto id : capped_ids) {
+    EXPECT_TRUE(full_ids.count(id)) << "capped run invented id " << id;
+    EXPECT_FALSE(undecided.count(id)) << "id both decided and undecided";
+  }
+  for (const auto id : full_ids) {
+    EXPECT_TRUE(capped_ids.count(id) || undecided.count(id))
+        << "qualifier " << id << " decided excluded under brownout";
   }
 }
 

@@ -1,20 +1,25 @@
 // Tests for the shared per-query sample pool: agreement of the SoA count
 // kernel with exact (Imhof) probabilities across dimensions and covariance
 // shapes, the Wilson block early-termination statistics, the batched
-// evaluator entry points, and edge cases.
+// evaluator entry points, edge cases, and the exactness differential of the
+// cell-ordered pool's pruned fixed-budget count against a brute-force
+// whole-pool count (including concurrent readers of one pool).
 
 #include "mc/sample_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "mc/adaptive_monte_carlo.h"
 #include "mc/exact_evaluator.h"
 #include "mc/monte_carlo.h"
+#include "mc/probability_evaluator.h"
 #include "rng/random.h"
 
 namespace gprq::mc {
@@ -309,6 +314,317 @@ TEST(DecideBatch, DefaultFallbackWithoutPoolMatchesPerCandidate) {
               single.QualificationDecision(g, objects[i], 2.0, 0.05))
         << "object " << i;
   }
+}
+
+// ---- Exactness of the cell-ordered pruned count. ---------------------------
+
+/// Rotates diag(variances) by a fixed pseudo-random orthogonal-ish mix of
+/// Givens rotations: anisotropic and correlated at once.
+la::Matrix RotatedCovariance(const std::vector<double>& variances,
+                             uint64_t seed) {
+  const size_t d = variances.size();
+  la::Matrix r = la::Matrix::Identity(d);
+  rng::Random random(seed);
+  for (size_t i = 0; i + 1 < d; ++i) {
+    const double angle = random.NextDouble(0.0, 3.14159);
+    la::Matrix g = la::Matrix::Identity(d);
+    g(i, i) = std::cos(angle);
+    g(i + 1, i + 1) = std::cos(angle);
+    g(i, i + 1) = -std::sin(angle);
+    g(i + 1, i) = std::sin(angle);
+    r = g * r;
+  }
+  la::Vector diag(d);
+  for (size_t i = 0; i < d; ++i) diag[i] = variances[i];
+  la::Matrix cov = r * la::Matrix::Diagonal(diag) * r.Transposed();
+  for (size_t i = 0; i < d; ++i) {  // exact symmetry for Cholesky
+    for (size_t j = 0; j < i; ++j) cov(j, i) = cov(i, j);
+  }
+  return cov;
+}
+
+/// Everything the differential needs about one query: a draw-order pool
+/// (the brute-force reference) and a cell-ordered pool from the same seed.
+struct PoolPair {
+  core::GaussianDistribution query;
+  SamplePool draw;
+  SamplePool cells;
+
+  PoolPair(core::GaussianDistribution g, uint64_t n, uint64_t seed)
+      : query(std::move(g)),
+        draw(query, n, seed, PoolVariant::kPseudoRandom,
+             PoolLayout::kDrawOrder),
+        cells(query, n, seed, PoolVariant::kPseudoRandom, PoolLayout::kCells) {
+  }
+
+  /// Sample i of the draw-order pool.
+  la::Vector Sample(uint64_t i) const {
+    la::Vector x(draw.dim());
+    for (size_t a = 0; a < draw.dim(); ++a) x[a] = draw.axis(a)[i];
+    return x;
+  }
+};
+
+/// Decides (object, δ) at θ grid points around and at the edges, and checks
+/// DecideExact on the cell pool against the brute-force whole-pool count on
+/// the draw-order pool. Returns the number of decisions checked.
+size_t ExpectExactAgreement(const PoolPair& pair, const la::Vector& object,
+                            double delta) {
+  const uint64_t n = pair.draw.size();
+  const uint64_t hits = pair.draw.CountWithin(object, delta * delta, 0, n);
+  const double nf = static_cast<double>(n);
+  std::vector<double> thetas = {0.0, 1.0 / nf, 0.5, 1.0 - 1.0 / nf, 1.0,
+                                static_cast<double>(hits) / nf,
+                                static_cast<double>(hits + 1) / nf};
+  if (hits > 0) thetas.push_back(static_cast<double>(hits - 1) / nf);
+  for (const double theta : thetas) {
+    const bool expected = static_cast<double>(hits) >= theta * nf;
+    for (const SamplePool* pool : {&pair.cells, &pair.draw}) {
+      const SamplePool::ExactDecision d =
+          pool->DecideExact(object, delta, theta, SamplePool::ExactOptions());
+      EXPECT_EQ(d.outcome, expected ? SamplePool::ExactDecision::kQualifies
+                                    : SamplePool::ExactDecision::kFails)
+          << "d=" << pair.draw.dim() << " delta=" << delta
+          << " theta=" << theta << " hits=" << hits
+          << (pool == &pair.cells ? " (cells)" : " (draw order)");
+      EXPECT_LE(d.examined, n);
+    }
+  }
+  return thetas.size();
+}
+
+TEST(ExactCount, CellPoolHoldsTheDrawOrderSamples) {
+  const PoolPair pair(MakeGaussian(la::Vector{3.0, -1.0, 2.0},
+                                   CorrelatedCovariance(3, 41)),
+                      5000, 8);
+  EXPECT_EQ(pair.cells.layout(), PoolLayout::kCells);
+  EXPECT_EQ(pair.draw.layout(), PoolLayout::kDrawOrder);
+  // The same multiset: every axis sorts to the same values.
+  for (size_t a = 0; a < 3; ++a) {
+    std::vector<double> x(pair.draw.axis(a), pair.draw.axis(a) + 5000);
+    std::vector<double> y(pair.cells.axis(a), pair.cells.axis(a) + 5000);
+    EXPECT_NE(x, y) << "axis " << a << " was not reordered";
+    std::sort(x.begin(), x.end());
+    std::sort(y.begin(), y.end());
+    EXPECT_EQ(x, y) << "axis " << a;
+  }
+}
+
+TEST(ExactCount, MatchesBruteForceAcrossDimensionsAndShapes) {
+  size_t checked = 0;
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{9}}) {
+    std::vector<std::pair<const char*, la::Matrix>> shapes;
+    shapes.emplace_back("diagonal", DiagonalCovariance(d));
+    shapes.emplace_back("correlated", CorrelatedCovariance(d, 60 + d));
+    std::vector<double> aniso(d), singular(d);
+    for (size_t i = 0; i < d; ++i) {
+      aniso[i] = std::pow(10.0, 6.0 - 12.0 * static_cast<double>(i) /
+                                        static_cast<double>(std::max<size_t>(
+                                            d - 1, 1)));
+      singular[i] = (i == 0) ? 1.0 : 1e-12;
+    }
+    shapes.emplace_back("anisotropic", RotatedCovariance(aniso, 70 + d));
+    shapes.emplace_back("near-singular", RotatedCovariance(singular, 80 + d));
+    for (auto& [shape, cov] : shapes) {
+      la::Vector mean(d);
+      for (size_t i = 0; i < d; ++i) mean[i] = 1000.0 * (i + 1.0);
+      const PoolPair pair(MakeGaussian(std::move(mean), std::move(cov)),
+                          16384, 100 + d);
+      SCOPED_TRACE(shape);
+      const auto& g = pair.query;
+      rng::Random random(200 + d);
+      for (int trial = 0; trial < 12; ++trial) {
+        // Objects from the centre out to far beyond the ±4σ grid.
+        const double spread = (trial < 8) ? 3.0 : 12.0;
+        la::Vector object = g.mean();
+        for (size_t a = 0; a < d; ++a) {
+          object[a] += random.NextDouble(-spread, spread) * g.Sigma(a);
+        }
+        for (const double sigmas : {0.05, 0.5, 2.0}) {
+          checked += ExpectExactAgreement(pair, object, sigmas * g.Sigma(0));
+        }
+      }
+      // Objects on the grid lines (mean + k·σ/4 on every axis: the
+      // 32-cell grid a 16384-sample pool gets) with δ under a cell width.
+      for (const int k : {-16, -5, 0, 1, 15, 16}) {
+        la::Vector object = g.mean();
+        for (size_t a = 0; a < d; ++a) object[a] += k * g.Sigma(a) / 4.0;
+        checked += ExpectExactAgreement(pair, object, 0.1 * g.Sigma(0));
+        checked += ExpectExactAgreement(pair, object, g.Sigma(0) / 4.0);
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(ExactCount, BoundarySamplesAndDegenerateRadii) {
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{9}}) {
+    la::Vector mean(d);
+    for (size_t i = 0; i < d; ++i) mean[i] = -50.0 + 7.0 * i;
+    const PoolPair pair(MakeGaussian(std::move(mean),
+                                     CorrelatedCovariance(d, 90 + d)),
+                        16384, 300 + d);
+    const uint64_t n = pair.draw.size();
+    // The extreme samples along axis 0 — beyond the grid's ±4σ edge when
+    // the tail reaches there — plus a few from the middle of the stream.
+    uint64_t lowest = 0, highest = 0;
+    for (uint64_t i = 1; i < n; ++i) {
+      if (pair.draw.axis(0)[i] < pair.draw.axis(0)[lowest]) lowest = i;
+      if (pair.draw.axis(0)[i] > pair.draw.axis(0)[highest]) highest = i;
+    }
+    for (const uint64_t i : {lowest, highest, uint64_t{0}, n / 2, n - 1}) {
+      const la::Vector sample = pair.Sample(i);
+      SCOPED_TRACE(testing::Message() << "d=" << d << " sample=" << i);
+      // δ = 0 at the sample itself: exactly one hit (itself) unless
+      // another sample coincides, and the count must find it.
+      ExpectExactAgreement(pair, sample, 0.0);
+      // The object exactly δ from the sample in the kernel's own
+      // arithmetic: o = x except along one axis, and δ is the kernel's own
+      // |x − o| there; the other axes add exact zeros, so the kernel's
+      // squared distance is fl(δ²) and the sample sits on the ≤ δ²
+      // boundary (and just outside it at the next smaller δ).
+      for (size_t axis : {size_t{0}, d - 1}) {
+        la::Vector object = sample;
+        object[axis] = sample[axis] + 0.375;
+        const double delta = std::abs(sample[axis] - object[axis]);
+        ExpectExactAgreement(pair, object, delta);
+        ExpectExactAgreement(pair, object, std::nextafter(delta, 0.0));
+      }
+    }
+    // δ covering the whole pool, including δ² overflowing to +inf.
+    ExpectExactAgreement(pair, pair.query.mean(), 1e6);
+    ExpectExactAgreement(pair, pair.query.mean(), 1e200);
+    // δ = 0 away from every sample: no hits.
+    ExpectExactAgreement(pair, pair.query.mean(), 0.0);
+  }
+}
+
+TEST(ExactCount, BudgetAndControlNeverChangeASettledAnswer) {
+  const PoolPair pair(MakeGaussian(la::Vector{0.0, 0.0},
+                                   CorrelatedCovariance(2, 5)),
+                      20000, 17);
+  rng::Random random(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    const la::Vector object{random.NextDouble(-6.0, 6.0),
+                            random.NextDouble(-6.0, 6.0)};
+    const double delta = random.NextDouble(0.2, 4.0);
+    const double theta = random.NextDouble(0.0, 0.6);
+    const auto full = pair.cells.DecideExact(object, delta, theta, {});
+    for (const uint64_t cap : {uint64_t{1}, uint64_t{100}, uint64_t{2048},
+                               uint64_t{5000}}) {
+      SamplePool::ExactOptions capped;
+      capped.max_examined = cap;
+      const auto d = pair.cells.DecideExact(object, delta, theta, capped);
+      EXPECT_LE(d.examined, cap);
+      if (d.outcome != SamplePool::ExactDecision::kBudgetExhausted) {
+        EXPECT_EQ(d.outcome, full.outcome) << "cap=" << cap;
+      } else {
+        EXPECT_GT(full.examined, cap);
+      }
+    }
+  }
+  // A cancelled control stops a candidate that has samples to examine.
+  common::CancellationSource cancel;
+  cancel.Cancel();
+  common::QueryControl control;
+  control.cancel = cancel.token();
+  SamplePool::ExactOptions stopped;
+  stopped.control = &control;
+  const auto d = pair.cells.DecideExact(la::Vector{0.0, 0.0}, 1.0, 0.01,
+                                        stopped);
+  EXPECT_EQ(d.outcome, SamplePool::ExactDecision::kInterrupted);
+  EXPECT_EQ(d.examined, 0u);
+}
+
+TEST(ExactCount, BrownoutDecidesLikeTheUnloadedBatch) {
+  const auto g = MakeGaussian(la::Vector{0.0, 0.0}, CorrelatedCovariance(2, 9));
+  MonteCarloEvaluator evaluator({.samples = 30000, .seed = 7});
+  const auto pool = evaluator.MakeSamplePool(g);
+  rng::Random random(12);
+  std::vector<la::Vector> objects;
+  for (int i = 0; i < 300; ++i) {
+    objects.push_back({random.NextDouble(-5.0, 5.0),
+                       random.NextDouble(-5.0, 5.0)});
+  }
+  std::vector<const la::Vector*> ptrs;
+  for (const auto& o : objects) ptrs.push_back(&o);
+  const double delta = 2.0, theta = 0.1;
+  std::vector<char> unloaded(objects.size(), kDecideUndecided);
+  evaluator.DecideBatch(g, ptrs.data(), ptrs.size(), delta, theta, pool.get(),
+                        unloaded.data());
+  common::QueryControl control;
+  control.sample_budget = 2000;
+  std::vector<char> capped(objects.size(), kDecideUndecided);
+  evaluator.DecideBatchBounded(g, ptrs.data(), ptrs.size(), delta, theta,
+                               pool.get(), control, capped.data());
+  size_t decided = 0, undecided = 0;
+  for (size_t i = 0; i < objects.size(); ++i) {
+    if (capped[i] == kDecideUndecided) {
+      ++undecided;
+    } else {
+      ++decided;
+      EXPECT_EQ(capped[i], unloaded[i]) << "object " << i;
+    }
+  }
+  EXPECT_GT(decided, 0u);
+  EXPECT_GT(undecided, 0u);
+}
+
+TEST(ExactCount, ConcurrentChunksOnOnePoolMatchOneThread) {
+  // One evaluator-built pool read by several workers at once, each deciding
+  // its own chunk through its own evaluator — the executor's fan-out.
+  const auto g = MakeGaussian(la::Vector{10.0, -3.0, 4.0},
+                              CorrelatedCovariance(3, 11));
+  MonteCarloEvaluator builder({.samples = 20000, .seed = 7});
+  const auto pool = builder.MakeSamplePool(g);
+  ASSERT_EQ(pool->layout(), PoolLayout::kCells);
+  rng::Random random(5);
+  std::vector<la::Vector> objects;
+  for (int i = 0; i < 400; ++i) {
+    la::Vector o = g.mean();
+    for (size_t a = 0; a < 3; ++a) {
+      o[a] += random.NextDouble(-4.0, 4.0) * g.Sigma(a);
+    }
+    objects.push_back(std::move(o));
+  }
+  std::vector<const la::Vector*> ptrs;
+  for (const auto& o : objects) ptrs.push_back(&o);
+  const double delta = 1.5, theta = 0.02;
+
+  std::vector<char> serial(objects.size(), kDecideUndecided);
+  builder.DecideBatch(g, ptrs.data(), ptrs.size(), delta, theta, pool.get(),
+                      serial.data());
+  for (size_t i = 0; i < objects.size(); ++i) {
+    const uint64_t hits =
+        pool->CountWithin(objects[i], delta * delta, 0, pool->size());
+    EXPECT_EQ(serial[i] != 0, static_cast<double>(hits) >=
+                                  theta * static_cast<double>(pool->size()));
+  }
+
+  constexpr size_t kWorkers = 4;
+  std::vector<char> parallel(objects.size(), kDecideUndecided);
+  std::vector<std::thread> workers;
+  const size_t chunk = (objects.size() + kWorkers - 1) / kWorkers;
+  const auto control = common::QueryControl::WithDeadline(
+      common::Deadline::After(3600.0));
+  for (size_t w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      MonteCarloEvaluator worker({.samples = 20000, .seed = 7});
+      const size_t begin = w * chunk;
+      const size_t end = std::min(objects.size(), begin + chunk);
+      // Odd workers take the bounded entry point: same loop, same answers.
+      if (w % 2 == 0) {
+        worker.DecideBatch(g, ptrs.data() + begin, end - begin, delta, theta,
+                           pool.get(), parallel.data() + begin);
+      } else {
+        worker.DecideBatchBounded(g, ptrs.data() + begin, end - begin, delta,
+                                  theta, pool.get(), control,
+                                  parallel.data() + begin);
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace

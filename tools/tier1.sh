@@ -6,7 +6,8 @@
 # metric-registry concurrency suites, the cross-thread-count determinism
 # regression, the fault/deadline/overload robustness suites, and the
 # result-cache, SIMD-kernel and sharded scatter-gather differential
-# suites, the net/ wire-protocol robustness + live-server +
+# suites, the sample pool's exactness differential with concurrent
+# readers of one pool, the net/ wire-protocol robustness + live-server +
 # end-to-end differential suites, the storage engine's
 # crash-recovery, churn-differential and epoch-snapshot suites, and the
 # remote-coordinator differential/chaos suite with its hostile
@@ -30,8 +31,9 @@ case "${MODE}" in
   *) echo "usage: $0 [all|build|tsan|asan|faultoff]" >&2; exit 2 ;;
 esac
 
-THREADED_TESTS='parallel_test|worker_pool_test|batch_executor_test|determinism_test|metrics_test|trace_test|fault_test|deadline_test|overload_test|cache_test|simd_kernel_test|shard_test|net_protocol_test|net_server_test|net_e2e_test|storage_recovery_test|storage_differential_test|storage_snapshot_test|remote_test|shard_manifest_test'
-THREADED_TARGETS=(parallel_test worker_pool_test batch_executor_test
+THREADED_TESTS='sample_pool_test|parallel_test|worker_pool_test|batch_executor_test|determinism_test|metrics_test|trace_test|fault_test|deadline_test|overload_test|cache_test|simd_kernel_test|shard_test|net_protocol_test|net_server_test|net_e2e_test|storage_recovery_test|storage_differential_test|storage_snapshot_test|remote_test|shard_manifest_test'
+THREADED_TARGETS=(sample_pool_test parallel_test worker_pool_test
+                  batch_executor_test
                   determinism_test metrics_test trace_test
                   fault_test deadline_test overload_test
                   cache_test simd_kernel_test shard_test
