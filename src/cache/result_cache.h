@@ -43,8 +43,8 @@ struct ResultCacheOptions {
 /// pass-set shrinks as θ grows (r_θ, α_outer, the oblique region and the
 /// marginal bound are all monotone), so a point pruned at θ is pruned — or
 /// Phase-3-rejected — at every θ' ≥ θ. That monotonicity is the containment
-/// rule: re-filtering `candidates` at θ' (PrqEngine::FilterCandidateSet)
-/// reproduces the fresh survivor set exactly, and the deterministic
+/// rule: re-filtering `candidates` at θ' (the semantic-hit path of
+/// exec::BatchExecutor::ExecuteBounded) reproduces the fresh survivor set exactly, and the deterministic
 /// per-query sample pool then reproduces the fresh decisions bit-for-bit.
 /// The candidates are held flat (core::FlatCandidates), not one vector per
 /// point: a cache full of 2-D entries would otherwise spend more on
@@ -72,7 +72,7 @@ struct CachedEntry {
 ///
 /// Semantic hit: same distribution, δ and config, cached θ ≤ query θ. The
 /// cached wider answer's candidate set is served for re-filtering at the
-/// narrower θ (see CachedEntry); the caller runs FilterCandidateSet +
+/// narrower θ (see CachedEntry); the caller runs the filter pass over it +
 /// Phase 3 and gets ids set-identical to a fresh execution at a fraction of
 /// the cost (no index search, and typically far fewer candidates). Among
 /// multiple eligible entries the one with the largest θ ≤ query θ wins —

@@ -47,6 +47,41 @@ struct FlatCandidates {
       std::vector<std::pair<la::Vector, index::ObjectId>>* kept) const;
 };
 
+/// Where a query's Phase-1 candidates come from: appends every point inside
+/// `search_box` (inclusive, like an index range query) to `candidates`. The
+/// one thing the serving surfaces differ in — an in-memory R*-tree, a paged
+/// tree, a pinned storage snapshot, a cached candidate superset, a shard
+/// scatter — so each passes its own source into the shared query body
+/// (core::RunFilterPhases). `trace` is the query's record (never null); a
+/// source fills its Phase-1 fields (index_visits, shards_routed). A non-OK
+/// status (paged or shard I/O) fails the query with that status.
+using CandidateSource = std::function<Status(
+    const geom::Rect& search_box,
+    std::vector<std::pair<la::Vector, index::ObjectId>>* candidates,
+    obs::QueryTrace* trace)>;
+
+/// The per-dimension U-catalogs (θ-region radius and BF α tables), built on
+/// first use. Prebuilt tables may be lent instead (not owned; they must
+/// outlive this object). Thread-compatible: the first use builds, so
+/// concurrent first uses race — every owner calls it from its one
+/// submitting thread.
+class Catalogs {
+ public:
+  explicit Catalogs(size_t dim, const RadiusCatalog* radius = nullptr,
+                    const AlphaCatalog* alpha = nullptr)
+      : dim_(dim), radius_(radius), alpha_(alpha) {}
+
+  const RadiusCatalog& radius() const;
+  const AlphaCatalog& alpha() const;
+
+ private:
+  size_t dim_;
+  mutable const RadiusCatalog* radius_;
+  mutable const AlphaCatalog* alpha_;
+  mutable std::unique_ptr<RadiusCatalog> owned_radius_;
+  mutable std::unique_ptr<AlphaCatalog> owned_alpha_;
+};
+
 /// Query criticality levels for overload admission (exec::OverloadPolicy):
 /// under pressure the serving layer sheds lower priorities first. Plain
 /// ints so callers can define intermediate levels; only the order matters.
@@ -132,34 +167,20 @@ class PrqEngine {
     geom::Rect search_box = geom::Rect::Empty(0);
   };
 
-  /// Runs validation, preparation and Phases 1-2; fills `outcome` with the
-  /// inner-accepted ids and the candidates needing integration, and `stats`
-  /// with the prep/phase1/phase2 timings, candidate counts and the
-  /// per-filter prune breakdown. Phase 3 — deciding the survivors — is the
-  /// caller's job (exec::BatchExecutor fans it over a worker pool; Execute
-  /// runs it inline).
-  ///
-  /// Every call publishes its filter-phase counters and timings to the
-  /// global obs::MetricRegistry (`gprq.engine.*`). If `trace` is non-null
-  /// it is reset and receives the same per-query record, with the Phase-3
-  /// fields left for the driver to fill.
+  /// core::RunFilterPhases over this engine's tree: validation,
+  /// preparation and Phases 1-2. Phase 3 — deciding the survivors — is the
+  /// caller's job (exec::BatchExecutor fans it over a worker pool;
+  /// ExecuteBounded runs it inline).
   Status RunFilterPhases(const PrqQuery& query, const PrqOptions& options,
                          FilterOutcome* outcome, PrqStats* stats,
                          obs::QueryTrace* trace = nullptr) const;
 
-  /// RunFilterPhases with Phase 1 replaced by a scan of `candidates`:
-  /// validation, preparation and Phase 2 are identical, but instead of
-  /// querying the index the phase keeps the given points that fall inside
-  /// the query's search box. Sound whenever `candidates` is a superset of
-  /// the search box's index answer — the semantic result cache uses it to
-  /// serve a narrower repeat query from a cached wider answer without
-  /// touching the tree.
-  Status FilterCandidateSet(const PrqQuery& query, const PrqOptions& options,
-                            const FlatCandidates& candidates,
-                            FilterOutcome* outcome, PrqStats* stats,
-                            obs::QueryTrace* trace = nullptr) const;
+  /// Phase 1 over this engine's R*-tree, counting node reads into the
+  /// trace's index_visits.
+  CandidateSource IndexSource() const;
 
-  /// Runs PRQ(q, δ, θ). `evaluator` supplies Phase-3 probabilities
+  /// Runs PRQ(q, δ, θ): ExecuteBounded with the answer required complete
+  /// (core::RequireComplete). `evaluator` supplies Phase-3 probabilities
   /// (Monte-Carlo or exact). If `stats` is non-null it receives phase
   /// timings and candidate counts. Returns the qualifying object ids
   /// (unordered).
@@ -220,32 +241,37 @@ class PrqEngine {
   double EffectiveThetaRadius(double theta, bool use_catalogs) const;
 
   /// The engine's catalogs (built on demand); exposed for benches/tests.
-  const RadiusCatalog& radius_catalog() const;
-  const AlphaCatalog& alpha_catalog() const;
+  const Catalogs& catalogs() const { return catalogs_; }
+  const RadiusCatalog& radius_catalog() const { return catalogs_.radius(); }
+  const AlphaCatalog& alpha_catalog() const { return catalogs_.alpha(); }
 
   /// The indexed dataset; exposed so admission control can derive a
   /// dataset-density cost proxy (exec::EstimateQueryCost).
   const index::RStarTree& tree() const { return *tree_; }
 
  private:
-  /// Shared body of RunFilterPhases / FilterCandidateSet: `gather` produces
-  /// the Phase-1 candidate set for the computed search box (index range
-  /// query or cached-candidate scan); everything else is identical.
-  using CandidateGatherer = std::function<void(
-      const geom::Rect& search_box,
-      std::vector<std::pair<la::Vector, index::ObjectId>>* candidates,
-      obs::QueryTrace* trace)>;
-  Status RunFilterPhasesImpl(const PrqQuery& query, const PrqOptions& options,
-                             const CandidateGatherer& gather,
-                             FilterOutcome* outcome, PrqStats* stats,
-                             obs::QueryTrace* trace) const;
-
   const index::RStarTree* tree_;
-  // Lazily built per-engine (the tree fixes the dimension); mutable because
-  // catalog construction does not affect logical query results.
-  mutable std::unique_ptr<RadiusCatalog> radius_catalog_;
-  mutable std::unique_ptr<AlphaCatalog> alpha_catalog_;
+  // Built on first use; the tree fixes the dimension.
+  Catalogs catalogs_;
 };
+
+/// The status of an answer the query's control left partial: the stop
+/// status (DeadlineExceeded/Cancelled), ResourceExhausted when a brownout
+/// sample budget ran out, and Internal when nothing explains the undecided
+/// candidates (defensive — they must never go unexplained).
+Status DegradedStatus(const common::QueryControl& control);
+
+/// The single-thread bounded query over any candidate source: the shared
+/// filter pass (core::RunFilterPhases), then Phase 3 inline against one
+/// per-query sample pool. PrqEngine::ExecuteBounded runs it over the
+/// in-memory tree and core::ExecutePagedPrq over a paged one, so for the
+/// same evaluator the two answer identically.
+Result<PrqResult> ExecuteInline(size_t dim, const Catalogs& catalogs,
+                                const CandidateSource& source,
+                                const PrqQuery& query,
+                                const PrqOptions& options,
+                                mc::ProbabilityEvaluator* evaluator,
+                                PrqStats* stats);
 
 }  // namespace gprq::core
 

@@ -1,13 +1,27 @@
 #ifndef GPRQ_CORE_FILTER_PIPELINE_H_
 #define GPRQ_CORE_FILTER_PIPELINE_H_
 
-// The query-side filter pipeline shared by every execution surface: the
-// in-memory PrqEngine, the paged single-tree path (core/paged_prq) and the
-// sharded scatter-gather engine (shard/sharded_engine). One implementation
-// of validation, per-query filter geometry, the Phase-1 search box and the
-// Phase-2 filter loop means the three paths cannot drift apart — the
-// differential suites compare them id-for-id, and the sharded engine routes
-// queries with the *same* search box the single-tree engine searches with.
+// The query body shared by every execution surface. The paper's processor
+// (Section III-B) is one algorithm — prep, Phase 1 on a search box, Phase 2
+// filters, Phase 3 integration — and so is this library's: RunFilterPhases
+// below is the only code that validates a query, checks its QueryControl at
+// phase boundaries, times the prep/phase1/phase2 spans, derives PrqStats
+// from the trace and publishes `gprq.engine.*`. What differs between the
+// surfaces is only where Phase-1 candidates come from, passed in as a
+// core::CandidateSource:
+//
+//   PrqEngine              the in-memory R*-tree
+//   ExecutePagedPrq        the paged tree, through its buffer pool
+//   LivePrqEngine          the pinned storage::StorageSnapshot
+//   ShardedPrqEngine       a parallel Phase-1 scatter over the routed shards
+//   result-cache hit       the cached FlatCandidates superset
+//
+// Phase 3 then runs either inline (core::ExecuteInline: PrqEngine, paged)
+// or fanned out by exec::BatchExecutor::ExecuteBounded, which also owns
+// the result-cache front (executor, live and sharded surfaces).
+// The geometry helpers stay public because the remote coordinator routes
+// with the same search box (shard::ShardRouter) and continuous queries
+// reuse the prepared regions.
 
 #include <cstdint>
 #include <utility>
@@ -22,6 +36,7 @@
 #include "geom/rect.h"
 #include "index/rstar_tree.h"
 #include "la/vector.h"
+#include "obs/trace.h"
 
 namespace gprq::core {
 
@@ -65,26 +80,24 @@ QueryGeometry PrepareQueryGeometry(const PrqQuery& query,
 bool ComputeSearchBox(const QueryGeometry& geometry, const PrqQuery& query,
                       size_t dim, geom::Rect* search_box);
 
-/// Per-filter prune attribution of one Phase-2 pass; a candidate counts
-/// toward the *first* filter that dropped it (RR-fringe, BF-outer, OR,
-/// marginal — the engine's order).
-struct Phase2Counts {
-  uint64_t pruned_rr_fringe = 0;
-  uint64_t pruned_bf_outer = 0;
-  uint64_t pruned_or = 0;
-  uint64_t pruned_marginal = 0;
-  uint64_t accepted_bf_inner = 0;
-};
-
-/// The Phase-2 analytical filter loop: moves each candidate into
-/// outcome->accepted (BF inner radius — certain qualifier, no integration
-/// needed) or outcome->survivors (needs Phase 3), or drops it. Appends to
-/// the outcome so shard-parallel callers can merge per-shard passes into
-/// one union outcome.
-void RunPhase2(const PrqQuery& query, const PrqOptions& options,
-               const QueryGeometry& geometry,
-               std::vector<std::pair<la::Vector, index::ObjectId>>&& candidates,
-               PrqEngine::FilterOutcome* outcome, Phase2Counts* counts);
+/// The filter pass of every surface: validation, preparation, Phase 1 over
+/// `source` within the query's search box, and Phase 2. Fills `outcome`
+/// with the inner-accepted objects and the survivors Phase 3 must decide,
+/// and `stats` with the prep/phase1/phase2 timings, candidate counts and
+/// per-filter prune breakdown (derived from the trace, so the two cannot
+/// disagree). Catalogs are consulted only when options.use_catalogs.
+///
+/// options.control is checked on entry and after prep and Phase 1; when it
+/// has fired the pass degrades (outcome->expired — see FilterOutcome) and
+/// still returns OK. Every call that gets past validation publishes its
+/// filter-phase counters and timings to the global obs::MetricRegistry
+/// (`gprq.engine.*`). If `trace` is non-null it is reset and receives the
+/// same per-query record, with the Phase-3 fields left for the driver.
+Status RunFilterPhases(size_t dim, const Catalogs& catalogs,
+                       const CandidateSource& source, const PrqQuery& query,
+                       const PrqOptions& options,
+                       PrqEngine::FilterOutcome* outcome, PrqStats* stats,
+                       obs::QueryTrace* trace = nullptr);
 
 }  // namespace gprq::core
 

@@ -1,11 +1,5 @@
 #include "core/paged_prq.h"
 
-#include <cmath>
-
-#include "common/stopwatch.h"
-#include "core/filter_pipeline.h"
-#include "core/filters.h"
-
 namespace gprq::core {
 
 Result<std::vector<index::ObjectId>> ExecutePagedPrq(
@@ -13,84 +7,30 @@ Result<std::vector<index::ObjectId>> ExecutePagedPrq(
     const PrqOptions& options, mc::ProbabilityEvaluator* evaluator,
     const RadiusCatalog* radius_catalog, const AlphaCatalog* alpha_catalog,
     PrqStats* stats) {
-  if (evaluator == nullptr) {
-    return Status::InvalidArgument("evaluator must not be null");
-  }
-  GPRQ_RETURN_NOT_OK(ValidatePrq(query, options, tree.dim()));
   if (options.use_catalogs &&
       (radius_catalog == nullptr || alpha_catalog == nullptr)) {
     return Status::InvalidArgument(
         "use_catalogs requires prebuilt radius and alpha catalogs");
   }
-
-  const GaussianDistribution& g = query.query_object;
-  const double delta = query.delta;
-  const double theta = query.theta;
-  const size_t d = tree.dim();
-
-  PrqStats local_stats;
-  PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
-  out_stats = PrqStats();
-  Stopwatch phase_timer;
-
-  // ---- Preparation (the shared pipeline — same radii as PrqEngine). ------
-  const QueryGeometry geometry =
-      PrepareQueryGeometry(query, options, d, radius_catalog, alpha_catalog);
-  if (geometry.proved_empty) {
-    out_stats.proved_empty = true;
-    return std::vector<index::ObjectId>{};
-  }
-  out_stats.prep_seconds = phase_timer.ElapsedSeconds();
-  phase_timer.Reset();
-
-  // ---- Phase 1: paged index search. ---------------------------------------
-  geom::Rect search_box = geom::Rect::Empty(d);
-  if (!ComputeSearchBox(geometry, query, d, &search_box)) {
-    out_stats.proved_empty = true;
-    return std::vector<index::ObjectId>{};
-  }
-
-  const uint64_t misses_before = tree.pool_stats().misses;
-  const uint64_t hits_before = tree.pool_stats().hits;
-  std::vector<std::pair<la::Vector, index::ObjectId>> candidates;
-  GPRQ_RETURN_NOT_OK(tree.RangeQuery(
-      search_box, [&candidates](const la::Vector& point,
-                                index::ObjectId id) {
-        candidates.emplace_back(point, id);
-      }));
-  // Logical node accesses = pool hits + misses during the query.
-  out_stats.node_reads = (tree.pool_stats().misses - misses_before) +
-                         (tree.pool_stats().hits - hits_before);
-  out_stats.index_candidates = candidates.size();
-  out_stats.phase1_seconds = phase_timer.ElapsedSeconds();
-  phase_timer.Reset();
-
-  // ---- Phase 2: analytical filtering (identical to PrqEngine). -----------
-  PrqEngine::FilterOutcome outcome;
-  Phase2Counts counts;
-  RunPhase2(query, options, geometry, std::move(candidates), &outcome,
-            &counts);
-  std::vector<index::ObjectId> result;
-  result.reserve(outcome.accepted.size());
-  for (const auto& [point, id] : outcome.accepted) result.push_back(id);
-  out_stats.accepted_without_integration = counts.accepted_bf_inner;
-  out_stats.pruned_rr_fringe = counts.pruned_rr_fringe;
-  out_stats.pruned_bf_outer = counts.pruned_bf_outer;
-  out_stats.pruned_or = counts.pruned_or;
-  out_stats.pruned_marginal = counts.pruned_marginal;
-  out_stats.integration_candidates = outcome.survivors.size();
-  out_stats.phase2_seconds = phase_timer.ElapsedSeconds();
-  phase_timer.Reset();
-
-  // ---- Phase 3: probability computation. ----------------------------------
-  for (const auto& [point, id] : outcome.survivors) {
-    if (evaluator->QualificationDecision(g, point, delta, theta)) {
-      result.push_back(id);
-    }
-  }
-  out_stats.phase3_seconds = phase_timer.ElapsedSeconds();
-  out_stats.result_size = result.size();
-  return result;
+  const Catalogs catalogs(tree.dim(), radius_catalog, alpha_catalog);
+  const CandidateSource paged =
+      [&tree](const geom::Rect& search_box,
+              std::vector<std::pair<la::Vector, index::ObjectId>>* candidates,
+              obs::QueryTrace* trace) {
+        const uint64_t misses_before = tree.pool_stats().misses;
+        const uint64_t hits_before = tree.pool_stats().hits;
+        GPRQ_RETURN_NOT_OK(tree.RangeQuery(
+            search_box, [candidates](const la::Vector& point,
+                                     index::ObjectId id) {
+              candidates->emplace_back(point, id);
+            }));
+        // Logical node accesses = pool hits + misses during the query.
+        trace->index_visits = (tree.pool_stats().misses - misses_before) +
+                              (tree.pool_stats().hits - hits_before);
+        return Status::OK();
+      };
+  return RequireComplete(ExecuteInline(tree.dim(), catalogs, paged, query,
+                                       options, evaluator, stats));
 }
 
 }  // namespace gprq::core

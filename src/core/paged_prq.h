@@ -16,9 +16,13 @@ namespace gprq::core {
 /// Runs the paper's three-phase PRQ over a disk-resident tree snapshot
 /// instead of the in-memory R*-tree — the storage setting the paper's
 /// experiments model (1 KB node pages). Phase 1 issues a paged range query
-/// through the snapshot's buffer pool; Phases 2-3 are identical to
-/// PrqEngine's, so results match the in-memory engine exactly for the same
-/// evaluator.
+/// through the snapshot's buffer pool; everything else is the query body
+/// PrqEngine::Execute runs (core::ExecuteInline: the shared filter pass,
+/// then Phase 3 against one per-query sample pool), so for equally
+/// configured evaluators — Monte-Carlo ones included — the answer equals
+/// the in-memory engine's id for id. A paged read error fails the query
+/// with its status, and so does a control that fires (this is a
+/// complete-answer API).
 ///
 /// Catalog arguments mirror PrqEngine's lazy members: pass prebuilt tables
 /// for `options.use_catalogs == true` (both must be non-null and match the

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -57,6 +58,17 @@ struct PrqResult {
 
   bool complete() const { return status.ok() && undecided.empty(); }
 };
+
+/// The complete-answer view of a bounded run, shared by every surface's
+/// Execute/Submit: an error Result stays an error, and a degraded answer
+/// surfaces as its status (the complete-answer APIs cannot mark the
+/// unresolved remainder and must not guess).
+inline Result<std::vector<index::ObjectId>> RequireComplete(
+    Result<PrqResult> bounded) {
+  if (!bounded.ok()) return bounded.status();
+  if (!bounded->status.ok()) return bounded->status;
+  return std::move(bounded->ids);
+}
 
 /// Per-query execution statistics, the quantities reported in the paper's
 /// Tables I-III.

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/filter_pipeline.h"
 #include "fault/failpoint.h"
 #include "mc/sample_pool.h"
 
@@ -54,22 +55,6 @@ uint64_t CounterDelta(uint64_t now, uint64_t before) {
 bool IsStopStatus(const Status& status) {
   return status.code() == StatusCode::kDeadlineExceeded ||
          status.code() == StatusCode::kCancelled;
-}
-
-// The annotation for a degraded result; Internal when the control claims it
-// never fired (defensive — undecided candidates must never go unexplained).
-Status DegradedStatus(const common::QueryControl& control) {
-  Status status = control.StopStatus();
-  if (!status.ok()) return status;
-  if (control.sample_budget > 0) {
-    // Brownout: the per-candidate sample budget ran out before the
-    // confidence interval separated. Decided ids are exact; the remainder
-    // is explicit.
-    return Status::ResourceExhausted(
-        "Phase-3 sample budget exhausted; undecided candidates remain");
-  }
-  return Status::Internal(
-      "candidates left undecided without a stop condition");
 }
 
 }  // namespace
@@ -283,16 +268,9 @@ void BatchExecutor::EnqueuePhase3(
             objects[i] = &survivors[begin + i].first;
           }
           std::vector<char> states(count, 0);
-          if (control.Unbounded()) {
-            // The exact pre-deadline path; 0/1 match the DecideState pair.
-            evaluator->DecideBatch(query.query_object, objects.data(), count,
-                                   query.delta, query.theta, pool.get(),
-                                   states.data());
-          } else {
-            evaluator->DecideBatchBounded(query.query_object, objects.data(),
-                                          count, query.delta, query.theta,
-                                          pool.get(), control, states.data());
-          }
+          evaluator->DecideBatchBounded(query.query_object, objects.data(),
+                                        count, query.delta, query.theta,
+                                        pool.get(), control, states.data());
           // Collect locally and merge once after the chunk: the workers
           // never write interleaved into adjacent heap blocks, so there is
           // no false sharing on the result cache lines (and only one lock
@@ -352,7 +330,7 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
     for (const auto& [point, id] : outcome.survivors) {
       result.undecided.push_back(id);
     }
-    result.status = DegradedStatus(control);
+    result.status = core::DegradedStatus(control);
   } else if (!outcome.survivors.empty()) {
     QuerySlot slot;
     CountdownLatch latch(Phase3ChunkCount(outcome.survivors.size()));
@@ -366,7 +344,7 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
     if (slot.errors.failed) {
       result.status = slot.errors.ToStatus();
     } else if (!result.undecided.empty()) {
-      result.status = DegradedStatus(control);
+      result.status = core::DegradedStatus(control);
     }
   }
   const uint64_t phase3_nanos = phase_timer.Stop();
@@ -400,104 +378,56 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
   return result;
 }
 
-Result<std::vector<index::ObjectId>> BatchExecutor::IntegrateOutcome(
-    const core::PrqQuery& query, core::PrqEngine::FilterOutcome outcome,
-    core::PrqStats* stats, obs::QueryTrace* trace,
-    mc::PoolVariant pool_variant) {
-  Result<core::PrqResult> bounded = IntegrateOutcomeBounded(
-      query, std::move(outcome), common::QueryControl::Unlimited(), stats,
-      trace, pool_variant);
-  if (!bounded.ok()) return bounded.status();
-  // Unbounded runs only degrade on worker failure; the complete-answer API
-  // surfaces that as the error it always did.
-  if (!bounded->status.ok()) return bounded->status;
-  return std::move(bounded->ids);
-}
-
-Result<core::PrqResult> BatchExecutor::IntegrateAndPublish(
-    const core::PrqQuery& query, const core::PrqOptions& options,
-    uint64_t config_bits, core::PrqEngine::FilterOutcome outcome,
-    core::PrqStats* stats, obs::QueryTrace* trace) {
-  // Snapshot what an eventual cache entry needs before the outcome is
-  // consumed: the candidate superset for future containment serves is
-  // accepted ∪ survivors (see cache::CachedEntry for why that set is sound
-  // for every θ' ≥ θ). The copy is only paid when the cache is on.
-  const bool cacheable = cache_ != nullptr && !outcome.expired;
-  core::FlatCandidates candidates;
-  geom::Rect search_box;
-  if (cacheable) {
-    candidates.Append(outcome.accepted);
-    candidates.Append(outcome.survivors);
-    search_box = outcome.search_box;
-  }
-  Result<core::PrqResult> result =
-      IntegrateOutcomeBounded(query, std::move(outcome), options.control,
-                              stats, trace, options.pool_variant);
-  if (cacheable && result.ok() && result->status.ok() &&
-      result->undecided.empty()) {
-    // Only complete answers are published: a degraded result (deadline,
-    // brownout, worker failure) is truncated work, not the query's answer.
-    cache_->Insert(query, config_bits, search_box, std::move(candidates),
-                   result->ids);
-  }
-  return result;
-}
-
-Result<core::PrqResult> BatchExecutor::SubmitBoundedImpl(
-    const core::PrqQuery& query, const core::PrqOptions& options,
-    AdmissionTicket* ticket, core::PrqStats* stats, obs::QueryTrace* trace) {
+Result<core::PrqResult> BatchExecutor::ExecuteBounded(
+    const core::PrqQuery& query, const core::PrqOptions& options, size_t dim,
+    const core::Catalogs& catalogs, const core::CandidateSource& source,
+    cache::ResultCache* cache, uint64_t epoch, core::PrqStats* stats,
+    obs::QueryTrace* trace, AdmissionTicket* ticket) {
   core::PrqStats local_stats;
   core::PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
   out_stats = core::PrqStats();
 
   const uint64_t config_bits =
-      (cache_ != nullptr) ? cache::FilterConfigBits(options) : 0;
-  if (cache_ != nullptr) {
-    const cache::ResultCache::Lookup hit = cache_->Find(query, config_bits);
-    if (hit.kind == cache::ResultCache::HitKind::kExact) {
-      // The stored answer is complete and deterministic — serve it
-      // verbatim. No filter phases, no pool, no fan-out; strictly better
-      // than any degraded execution, so deadlines and brownout budgets
-      // need not apply.
-      if (ticket != nullptr) overload_->Refine(ticket, 0.0);
-      metrics_.queries->Add(1);
-      metrics_.results->Add(hit.entry->ids.size());
-      core::PrqResult result;
-      result.ids = hit.entry->ids;
-      out_stats.result_size = result.ids.size();
-      if (trace != nullptr) {
-        *trace = obs::QueryTrace();
-        trace->cache_hit_exact = true;
-        trace->result_size = result.ids.size();
-      }
-      return result;
+      (cache != nullptr) ? cache::FilterConfigBits(options) : 0;
+  cache::ResultCache::Lookup hit;
+  if (cache != nullptr) hit = cache->Find(query, config_bits, epoch);
+  if (hit.kind == cache::ResultCache::HitKind::kExact) {
+    // The stored answer is complete and deterministic — serve it verbatim,
+    // before any stop check: no filter phases, no pool, no fan-out, so it
+    // is strictly better than any degraded execution.
+    if (ticket != nullptr) overload_->Refine(ticket, 0.0);
+    metrics_.queries->Add(1);
+    metrics_.results->Add(hit.entry->ids.size());
+    core::PrqResult result;
+    result.ids = hit.entry->ids;
+    out_stats.result_size = result.ids.size();
+    if (trace != nullptr) {
+      *trace = obs::QueryTrace();
+      trace->cache_hit_exact = true;
+      trace->result_size = result.ids.size();
     }
-    if (hit.kind == cache::ResultCache::HitKind::kSemantic) {
-      // Containment serve: Phases 1-2 re-run over the cached candidate
-      // superset (no index visit), Phase 3 runs normally — the per-query
-      // pool is a pure function of (seed, query), so the decided ids are
-      // identical to a fresh execution's.
-      core::PrqEngine::FilterOutcome outcome;
-      GPRQ_RETURN_NOT_OK(engine_->FilterCandidateSet(
-          query, options, hit.entry->candidates, &outcome, &out_stats,
-          trace));
-      if (trace != nullptr) trace->cache_hit_semantic = true;
-      if (ticket != nullptr) {
-        overload_->Refine(ticket,
-                          static_cast<double>(outcome.survivors.size()));
-      }
-      if (outcome.proved_empty) {
-        metrics_.queries->Add(1);
-        return core::PrqResult{};
-      }
-      return IntegrateAndPublish(query, options, config_bits,
-                                 std::move(outcome), &out_stats, trace);
-    }
+    return result;
   }
 
+  // A semantic hit replaces Phase 1 with a containment scan of the cached
+  // candidate superset (no index visit); Rect::Contains is inclusive like a
+  // range query, so the kept set equals the index answer. Phase 3 runs
+  // normally — the per-query pool is a pure function of (seed, query), so
+  // the decided ids are identical to a fresh execution's.
+  const bool semantic = hit.kind == cache::ResultCache::HitKind::kSemantic;
+  const core::CandidateSource cached =
+      [&hit](const geom::Rect& search_box,
+             std::vector<std::pair<la::Vector, index::ObjectId>>* kept,
+             obs::QueryTrace*) {
+        hit.entry->candidates.GatherContained(search_box, kept);
+        return Status::OK();
+      };
   core::PrqEngine::FilterOutcome outcome;
-  GPRQ_RETURN_NOT_OK(
-      engine_->RunFilterPhases(query, options, &outcome, &out_stats, trace));
+  GPRQ_RETURN_NOT_OK(core::RunFilterPhases(dim, catalogs,
+                                           semantic ? cached : source, query,
+                                           options, &outcome, &out_stats,
+                                           trace));
+  if (trace != nullptr) trace->cache_hit_semantic = semantic;
   if (ticket != nullptr) {
     // Phase 2 knows the true cost; replace the admission-time estimate so
     // over-estimated budget frees for queued submitters right away.
@@ -507,8 +437,33 @@ Result<core::PrqResult> BatchExecutor::SubmitBoundedImpl(
     metrics_.queries->Add(1);
     return core::PrqResult{};
   }
-  return IntegrateAndPublish(query, options, config_bits, std::move(outcome),
-                             &out_stats, trace);
+
+  // Snapshot what an eventual cache entry needs before the outcome is
+  // consumed: the candidate superset for future containment serves is
+  // accepted ∪ survivors (see cache::CachedEntry for why that set is sound
+  // for every θ' ≥ θ). The copy is only paid when the cache is on.
+  const bool cacheable = cache != nullptr && !outcome.expired;
+  core::FlatCandidates candidates;
+  geom::Rect search_box;
+  if (cacheable) {
+    candidates.Append(outcome.accepted);
+    candidates.Append(outcome.survivors);
+    search_box = outcome.search_box;
+  }
+  Result<core::PrqResult> result =
+      IntegrateOutcomeBounded(query, std::move(outcome), options.control,
+                              &out_stats, trace, options.pool_variant);
+  if (cacheable && result.ok() && result->complete()) {
+    // Only complete answers are published: a degraded result (deadline,
+    // brownout, worker failure) is truncated work, not the query's answer.
+    // The insert is epoch-validated inside the cache: a commit landing
+    // during the query advances the cache's epoch (under the cache's own
+    // lock, before its snapshot publishes), so an answer computed against
+    // an older pin is rejected there rather than installed stale.
+    cache->Insert(query, config_bits, search_box, std::move(candidates),
+                  result->ids, epoch);
+  }
+  return result;
 }
 
 Result<core::PrqResult> BatchExecutor::SubmitBounded(
@@ -519,8 +474,11 @@ Result<core::PrqResult> BatchExecutor::SubmitBounded(
         "detached executor cannot run filter phases; submit through the "
         "sharded engine");
   }
+  const size_t dim = engine_->tree().dim();
   if (overload_ == nullptr) {
-    return SubmitBoundedImpl(query, options, nullptr, stats, trace);
+    return ExecuteBounded(query, options, dim, engine_->catalogs(),
+                          engine_->IndexSource(), cache_.get(), 0, stats,
+                          trace);
   }
 
   // Governed path: admission first (cheap, and shed queries never touch
@@ -548,7 +506,9 @@ Result<core::PrqResult> BatchExecutor::SubmitBounded(
   Result<core::PrqResult> result = core::PrqResult{};
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
-    result = SubmitBoundedImpl(query, effective, &ticket, stats, trace);
+    result = ExecuteBounded(query, effective, dim, engine_->catalogs(),
+                            engine_->IndexSource(), cache_.get(), 0, stats,
+                            trace, &ticket);
   }
   overload_->Release(ticket);
   if (trace != nullptr) {
@@ -563,37 +523,7 @@ Result<core::PrqResult> BatchExecutor::SubmitBounded(
 Result<std::vector<index::ObjectId>> BatchExecutor::Submit(
     const core::PrqQuery& query, const core::PrqOptions& options,
     core::PrqStats* stats, obs::QueryTrace* trace) {
-  if (engine_ == nullptr) {
-    return Status::InvalidArgument(
-        "detached executor cannot run filter phases; submit through the "
-        "sharded engine");
-  }
-  if (overload_ != nullptr || cache_ != nullptr ||
-      !options.control.Unbounded()) {
-    // The complete-answer API cannot express a partial result; a degraded
-    // run surfaces as its stop status instead of dropping the undecided
-    // remainder (under overload governance: a shed or browned-out query
-    // surfaces as ResourceExhausted). Callers that want the partial answer
-    // use SubmitBounded. With the cache enabled the bounded path is also
-    // the cache-aware path.
-    Result<core::PrqResult> bounded =
-        SubmitBounded(query, options, stats, trace);
-    if (!bounded.ok()) return bounded.status();
-    if (!bounded->status.ok()) return bounded->status;
-    return std::move(bounded->ids);
-  }
-  core::PrqStats local_stats;
-  core::PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
-  out_stats = core::PrqStats();
-
-  core::PrqEngine::FilterOutcome outcome;
-  GPRQ_RETURN_NOT_OK(
-      engine_->RunFilterPhases(query, options, &outcome, &out_stats, trace));
-  if (outcome.proved_empty) {
-    metrics_.queries->Add(1);
-    return std::vector<index::ObjectId>{};
-  }
-  return IntegrateOutcome(query, std::move(outcome), &out_stats, trace);
+  return core::RequireComplete(SubmitBounded(query, options, stats, trace));
 }
 
 Result<std::vector<core::PrqResult>> BatchExecutor::SubmitBatchBounded(
@@ -655,7 +585,7 @@ Result<std::vector<core::PrqResult>> BatchExecutor::SubmitBatchBounded(
       for (const auto& [point, id] : outcomes[q].survivors) {
         results[q].undecided.push_back(id);
       }
-      results[q].status = DegradedStatus(control);
+      results[q].status = core::DegradedStatus(control);
       continue;
     }
     if (outcomes[q].survivors.empty()) continue;
@@ -687,7 +617,7 @@ Result<std::vector<core::PrqResult>> BatchExecutor::SubmitBatchBounded(
       if (slots[q]->errors.failed) {
         results[q].status = slots[q]->errors.ToStatus();
       } else if (!results[q].undecided.empty()) {
-        results[q].status = DegradedStatus(query_controls[q]);
+        results[q].status = core::DegradedStatus(query_controls[q]);
       }
     }
     if (IsStopStatus(results[q].status)) {

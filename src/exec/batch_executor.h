@@ -77,7 +77,7 @@ struct ExecStats {
 /// Phase 3 is pooled: before the fan-out, evaluator 0 builds one read-only
 /// mc::SamplePool per query on the submitting thread (sampling evaluators
 /// only; exact evaluators return none), and every candidate chunk is decided
-/// with one batched DecideBatch call against that shared pool. The
+/// with one batched DecideBatchBounded call against that shared pool. The
 /// O(samples · d²) Gaussian draw is paid once per query instead of once per
 /// candidate, and — since the samples no longer come from whichever worker's
 /// RNG happens to evaluate a candidate — Phase-3 results are bit-identical
@@ -111,15 +111,18 @@ class BatchExecutor {
       const OverloadPolicy& policy);
 
   /// An executor with no engine of its own: the pool, evaluators and the
-  /// Phase-3 entry points (IntegrateOutcome/IntegrateOutcomeBounded,
-  /// RunTasks) work as usual, but the engine-routed entry points
-  /// (Submit*/SetOverloadPolicy) fail with InvalidArgument. The sharded
-  /// engine uses this form — it owns one engine per shard and the executor
-  /// only supplies shared workers and per-worker evaluators.
+  /// source-parameterised entry points (ExecuteBounded,
+  /// IntegrateOutcomeBounded, RunTasks) work as usual, but the
+  /// engine-routed entry points (Submit*/SetOverloadPolicy) fail with
+  /// InvalidArgument. The sharded and live engines use this form — they
+  /// own their candidate sources and the executor only supplies shared
+  /// workers and per-worker evaluators.
   static Result<std::unique_ptr<BatchExecutor>> CreateDetached(
       const core::PrqEngine::EvaluatorFactory& factory, size_t num_threads);
 
-  /// Runs one query; result-set semantics identical to PrqEngine::Execute
+  /// Runs one query: SubmitBounded with the answer required complete
+  /// (core::RequireComplete) — a degraded, shed or browned-out run surfaces
+  /// as its status. Result-set semantics identical to PrqEngine::Execute
   /// with an equivalent evaluator (order may differ; compare as sets).
   ///
   /// If `trace` is non-null it receives the full per-query record: filter
@@ -185,20 +188,34 @@ class BatchExecutor {
       const std::vector<common::QueryControl>* controls = nullptr,
       std::vector<core::PrqStats>* stats = nullptr);
 
-  /// Fans Phase 3 of an already-filtered query across the pool and returns
-  /// accepted + qualifying ids. `stats` (if non-null) receives
-  /// phase3_seconds and result_size on top of whatever the filter pass
-  /// already wrote; `trace` (if non-null) receives the Phase-3 fields the
-  /// same way. Used by PrqEngine::ExecuteParallel, which runs its own
-  /// filter pass; stream callers normally use Submit.
-  Result<std::vector<index::ObjectId>> IntegrateOutcome(
-      const core::PrqQuery& query, core::PrqEngine::FilterOutcome outcome,
-      core::PrqStats* stats = nullptr, obs::QueryTrace* trace = nullptr,
-      mc::PoolVariant pool_variant = mc::PoolVariant::kPseudoRandom);
+  /// The one cached bounded query body of every fanned-out surface
+  /// (SubmitBounded, storage::LivePrqEngine, shard::ShardedPrqEngine):
+  ///
+  ///   1. `cache` lookup at `epoch` (skipped when `cache` is null): an exact
+  ///      hit is served verbatim, before any stop check;
+  ///   2. the filter pass (core::RunFilterPhases) over `source` — or, on a
+  ///      semantic hit, over the cached candidate superset;
+  ///   3. the Phase-3 fan-out under options.control
+  ///      (IntegrateOutcomeBounded);
+  ///   4. publication of a complete answer into `cache`, keyed at `epoch`.
+  ///
+  /// `epoch` is the pinned snapshot epoch the cache validates lookups and
+  /// inserts against (0 for a static dataset). `ticket`, when non-null,
+  /// gets its admission cost refined with the true survivor count. Same
+  /// result contract as SubmitBounded.
+  Result<core::PrqResult> ExecuteBounded(
+      const core::PrqQuery& query, const core::PrqOptions& options,
+      size_t dim, const core::Catalogs& catalogs,
+      const core::CandidateSource& source, cache::ResultCache* cache,
+      uint64_t epoch, core::PrqStats* stats, obs::QueryTrace* trace,
+      AdmissionTicket* ticket = nullptr);
 
-  /// Control-aware IntegrateOutcome: fans Phase 3 out under `control` and
-  /// returns a (possibly partial) core::PrqResult instead of failing the
-  /// whole query on a deadline or worker error. Used by SubmitBounded and
+  /// Fans Phase 3 of an already-filtered query across the pool under
+  /// `control` and returns a (possibly partial) core::PrqResult instead of
+  /// failing the whole query on a deadline or worker error. `stats` (if
+  /// non-null) receives phase3_seconds and result_size on top of whatever
+  /// the filter pass already wrote; `trace` (if non-null) receives the
+  /// Phase-3 fields the same way. Used by ExecuteBounded and
   /// PrqEngine::ExecuteParallel.
   Result<core::PrqResult> IntegrateOutcomeBounded(
       const core::PrqQuery& query, core::PrqEngine::FilterOutcome outcome,
@@ -211,8 +228,8 @@ class BatchExecutor {
   /// captured (first error wins, the rest still run) and surfaced as
   /// Status::Internal. The caller must not have a Phase-3 fan-out in
   /// flight, and the tasks must not touch the per-worker evaluators —
-  /// this is the scatter primitive the sharded engine uses to run
-  /// per-shard filter phases on the same threads that later run Phase 3.
+  /// this is the scatter primitive the sharded engine uses to run its
+  /// per-shard Phase-1 searches on the same threads that later run Phase 3.
   Status RunTasks(std::vector<WorkerPool::Task> tasks);
 
   /// Point-in-time throughput counters.
@@ -238,8 +255,9 @@ class BatchExecutor {
 
   /// Installs the semantic result cache (see cache::ResultCache). Like
   /// SetOverloadPolicy, a startup knob — not safe while submissions are in
-  /// flight. Once enabled, Submit/SubmitBounded consult the cache before
-  /// the filter phases and publish every complete answer into it; cached
+  /// flight. Once enabled, Submit/SubmitBounded run ExecuteBounded with it:
+  /// the cache is consulted before the filter phases and every complete
+  /// answer is published into it; cached
   /// answers (exact or containment-served) are set-identical to fresh
   /// execution because Phase-3 sample pools are a pure function of
   /// (evaluator seed, query). Batch submissions bypass the cache — a batch
@@ -291,8 +309,7 @@ class BatchExecutor {
   /// chunk failpoint, evaluator exception — the whole chunk in the latter
   /// two cases) to slot->undecided, both under slot->merge_mutex; counts
   /// `latch` down once per chunk (Phase3ChunkCount(survivors.size())
-  /// chunks total). An unbounded `control` runs the exact pre-deadline
-  /// decide path.
+  /// chunks total).
   void EnqueuePhase3(
       const core::PrqQuery& query,
       const std::vector<std::pair<la::Vector, index::ObjectId>>& survivors,
@@ -311,25 +328,6 @@ class BatchExecutor {
       const core::PrqQuery& query, mc::PoolVariant pool_variant);
 
   size_t Phase3ChunkCount(size_t survivors) const;
-
-  /// The ungoverned SubmitBounded body. When `ticket` is non-null its cost
-  /// estimate is refined with the true survivor count after Phase 2.
-  Result<core::PrqResult> SubmitBoundedImpl(const core::PrqQuery& query,
-                                            const core::PrqOptions& options,
-                                            AdmissionTicket* ticket,
-                                            core::PrqStats* stats,
-                                            obs::QueryTrace* trace);
-
-  /// Phase 3 + cache publication for one query whose filter phases (fresh
-  /// or cache-served) produced `outcome`: integrates the survivors under
-  /// options.control and, when the cache is enabled and the answer came
-  /// back complete, inserts it keyed at the query's (fingerprint, δ, θ,
-  /// config). Shared by the miss path and the semantic-hit path of
-  /// SubmitBoundedImpl.
-  Result<core::PrqResult> IntegrateAndPublish(
-      const core::PrqQuery& query, const core::PrqOptions& options,
-      uint64_t config_bits, core::PrqEngine::FilterOutcome outcome,
-      core::PrqStats* stats, obs::QueryTrace* trace);
 
   /// Registry-backed executor metrics (`gprq.exec.*`), resolved once at
   /// construction. `baseline_*` hold the counter values at construction so

@@ -109,36 +109,6 @@ AdaptiveMonteCarloEvaluator::MakeSamplePool(
                                             stream_seed, variant);
 }
 
-SamplePool::DecideOptions AdaptiveMonteCarloEvaluator::PoolDecideOptions()
-    const {
-  SamplePool::DecideOptions decide;
-  decide.confidence_z = options_.confidence_z;
-  // Keep the pool's large vectorization blocks even if the per-candidate
-  // path checks more often; never check before min_samples' worth.
-  decide.block_samples = std::max(
-      {decide.block_samples, options_.min_samples, options_.batch_samples});
-  return decide;
-}
-
-void AdaptiveMonteCarloEvaluator::DecideBatch(
-    const core::GaussianDistribution& query, const la::Vector* const* objects,
-    size_t count, double delta, double theta, const SamplePool* pool,
-    char* decisions) {
-  if (pool == nullptr) {
-    ProbabilityEvaluator::DecideBatch(query, objects, count, delta, theta,
-                                      pool, decisions);
-    return;
-  }
-  const SamplePool::DecideOptions decide = PoolDecideOptions();
-  for (size_t i = 0; i < count; ++i) {
-    const SamplePool::Decision d =
-        pool->Decide(*objects[i], delta, theta, decide);
-    total_samples_ += d.samples_used;
-    if (d.undecided) ++undecided_fallbacks_;
-    decisions[i] = d.qualifies ? 1 : 0;
-  }
-}
-
 void AdaptiveMonteCarloEvaluator::DecideBatchBounded(
     const core::GaussianDistribution& query, const la::Vector* const* objects,
     size_t count, double delta, double theta, const SamplePool* pool,
@@ -148,7 +118,12 @@ void AdaptiveMonteCarloEvaluator::DecideBatchBounded(
                                              theta, pool, control, states);
     return;
   }
-  SamplePool::DecideOptions decide = PoolDecideOptions();
+  SamplePool::DecideOptions decide;
+  decide.confidence_z = options_.confidence_z;
+  // Keep the pool's large vectorization blocks even if the per-candidate
+  // path checks more often; never check before min_samples' worth.
+  decide.block_samples = std::max(
+      {decide.block_samples, options_.min_samples, options_.batch_samples});
   decide.control = &control;
   decide.max_samples = control.sample_budget;
   for (size_t i = 0; i < count; ++i) {

@@ -51,18 +51,11 @@ class AdaptiveMonteCarloEvaluator final : public ProbabilityEvaluator {
   /// the same Wilson early termination, amortizing the sampling across all
   /// candidates of the query. Counter semantics are unchanged
   /// (total_samples counts pool samples consumed per decision;
-  /// undecided_fallbacks counts pool-exhausted decisions). Without a pool,
-  /// falls back to the per-candidate sequential path.
-  void DecideBatch(const core::GaussianDistribution& query,
-                   const la::Vector* const* objects, size_t count,
-                   double delta, double theta, const SamplePool* pool,
-                   char* decisions) override;
-
-  /// Bounded batch: pool->Decide with the control threaded into the Wilson
-  /// block loop, so a deadline firing mid-candidate overshoots by at most
-  /// one block of samples. The interrupted candidate and all remaining ones
-  /// become kDecideUndecided; decided entries match DecideBatch
-  /// bit-for-bit.
+  /// undecided_fallbacks counts pool-exhausted decisions). The control is
+  /// threaded into the Wilson block loop, so a deadline firing
+  /// mid-candidate overshoots by at most one block of samples; the
+  /// interrupted candidate and all remaining ones become kDecideUndecided.
+  /// Without a pool, falls back to the per-candidate sequential path.
   void DecideBatchBounded(const core::GaussianDistribution& query,
                           const la::Vector* const* objects, size_t count,
                           double delta, double theta, const SamplePool* pool,
@@ -93,10 +86,6 @@ class AdaptiveMonteCarloEvaluator final : public ProbabilityEvaluator {
   }
 
  private:
-  /// The pool->Decide options DecideBatch/DecideBatchBounded share, so the
-  /// bounded and unbounded paths make identical sequential decisions.
-  SamplePool::DecideOptions PoolDecideOptions() const;
-
   Options options_;
   rng::Random random_;
   la::Vector scratch_;

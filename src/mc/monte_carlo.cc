@@ -100,22 +100,6 @@ std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
                                             PoolLayout::kCells);
 }
 
-void MonteCarloEvaluator::DecideBatch(const core::GaussianDistribution& query,
-                                      const la::Vector* const* objects,
-                                      size_t count, double delta, double theta,
-                                      const SamplePool* pool,
-                                      char* decisions) {
-  if (pool == nullptr) {
-    ProbabilityEvaluator::DecideBatch(query, objects, count, delta, theta,
-                                      pool, decisions);
-    return;
-  }
-  // 0/1 are the kDecideExcluded/kDecideIncluded pair; nothing can stop an
-  // unbounded count, so every entry is decided.
-  DecidePooled(*pool, objects, count, delta, theta, SamplePool::ExactOptions(),
-               decisions);
-}
-
 void MonteCarloEvaluator::DecideBatchBounded(
     const core::GaussianDistribution& query, const la::Vector* const* objects,
     size_t count, double delta, double theta, const SamplePool* pool,

@@ -37,19 +37,12 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   /// Batched Phase-3 over a shared per-query pool: the O(d²) sampling cost
   /// is paid once per query (in MakeSamplePool) and each candidate costs
   /// only SamplePool::DecideExact — the fixed-budget whole-pool decision
-  /// (hits ≥ θ·n), counting just the samples its δ-ball can reach. Without
-  /// a pool, falls back to the per-candidate path.
-  void DecideBatch(const core::GaussianDistribution& query,
-                   const la::Vector* const* objects, size_t count,
-                   double delta, double theta, const SamplePool* pool,
-                   char* decisions) override;
-
-  /// Bounded batch over the shared pool, through the same count: the
+  /// (hits ≥ θ·n), counting just the samples its δ-ball can reach. The
   /// control is polled between kernel blocks, and once it fires the
   /// current and remaining candidates are marked kDecideUndecided. A
   /// brownout sample_budget caps the samples each candidate examines; one
-  /// that does not settle within it is undecided. Decided entries match
-  /// DecideBatch bit-for-bit.
+  /// that does not settle within it is undecided. Without a pool, falls
+  /// back to the per-candidate path.
   void DecideBatchBounded(const core::GaussianDistribution& query,
                           const la::Vector* const* objects, size_t count,
                           double delta, double theta, const SamplePool* pool,
@@ -88,8 +81,8 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   uint64_t CountHits(const core::GaussianDistribution& query,
                      const la::Vector& object, double delta_sq, uint64_t n);
 
-  /// The one pooled decision loop behind DecideBatch and
-  /// DecideBatchBounded; writes kDecide* states.
+  /// The pooled decision loop behind DecideBatchBounded; writes kDecide*
+  /// states.
   void DecidePooled(const SamplePool& pool, const la::Vector* const* objects,
                     size_t count, double delta, double theta,
                     const SamplePool::ExactOptions& exact, char* states);

@@ -17,9 +17,8 @@ class SamplePool;
 /// Per-candidate outcome of a bounded (deadline/cancellation-aware) batch.
 /// Excluded and included are *exact* Phase-3 answers; undecided means the
 /// control stopped the batch before this candidate resolved — the engine
-/// must surface it as unknown, never guess. Values are chosen so the
-/// kExcluded/kIncluded pair is layout-compatible with the unbounded
-/// DecideBatch 0/1 convention.
+/// must surface it as unknown, never guess. kExcluded/kIncluded are 0/1,
+/// so a state reads as a boolean decision.
 enum DecideState : char {
   kDecideExcluded = 0,
   kDecideIncluded = 1,
@@ -57,8 +56,8 @@ class ProbabilityEvaluator {
   /// Builds a per-query pool of shared samples for batched decisions, or
   /// null when the implementation does not integrate by sampling from the
   /// query Gaussian (exact evaluators; the default). Phase-3 drivers call
-  /// this once per query — on the submitting thread, before any DecideBatch
-  /// fan-out — and pass the pool to every DecideBatch chunk of that query,
+  /// this once per query — on the submitting thread, before any
+  /// DecideBatchBounded fan-out — and pass the pool to every chunk of it,
   /// so the O(samples · d²) draw happens once per query instead of once per
   /// candidate. Sampling evaluators should draw the pool from a dedicated
   /// RNG stream so pool construction never perturbs their per-candidate
@@ -81,37 +80,27 @@ class ProbabilityEvaluator {
     return MakeSamplePool(query);
   }
 
-  /// Batched Phase-3 decisions: sets decisions[i] to nonzero iff the
-  /// qualification probability of *objects[i] is at least `theta`, for
-  /// i in [0, count). `objects` is an array of `count` pointers (candidate
-  /// points live inside caller containers and are not contiguous).
+  /// Batched Phase-3 decisions: sets states[i] to kDecideIncluded iff the
+  /// qualification probability of *objects[i] is at least `theta`
+  /// (kDecideExcluded otherwise), for i in [0, count). `objects` is an
+  /// array of `count` pointers (candidate points live inside caller
+  /// containers and are not contiguous).
   ///
   /// `pool` is the pool MakeSamplePool returned for this query — null for
   /// evaluators that returned null there. Implementations deciding from the
   /// pool must treat it as read-only: one pool instance fans out across
   /// worker threads (mutating their *own* per-evaluator state is fine, the
-  /// worker owns it). The default ignores `pool` and loops the
-  /// per-candidate QualificationDecision, so exact evaluators are batched
-  /// transparently.
-  virtual void DecideBatch(const core::GaussianDistribution& query,
-                           const la::Vector* const* objects, size_t count,
-                           double delta, double theta, const SamplePool* pool,
-                           char* decisions) {
-    (void)pool;
-    for (size_t i = 0; i < count; ++i) {
-      decisions[i] =
-          QualificationDecision(query, *objects[i], delta, theta) ? 1 : 0;
-    }
-  }
-
-  /// Deadline/cancellation-aware DecideBatch: decides candidates in order
-  /// until `control` fires, then marks every remaining candidate
-  /// kDecideUndecided and returns. Decided entries are bit-identical to
-  /// what the unbounded DecideBatch would have produced (the control only
-  /// truncates work, it never alters it). The default checks the control
-  /// between per-candidate decisions; sampling implementations override to
-  /// also check inside a candidate (between count blocks), bounding the
-  /// overshoot past a deadline by one block instead of one candidate.
+  /// worker owns it).
+  ///
+  /// `control` bounds the batch: once it fires, the current and every
+  /// remaining candidate are marked kDecideUndecided. Decided entries are
+  /// bit-identical to an unlimited control's (the control only truncates
+  /// work, it never alters it); QueryControl::Unlimited() decides every
+  /// candidate. The default ignores `pool`, loops the per-candidate
+  /// QualificationDecision (so exact evaluators are batched transparently)
+  /// and checks the control between candidates; sampling implementations
+  /// override to also check inside a candidate (between count blocks),
+  /// bounding the overshoot past a deadline by one block.
   virtual void DecideBatchBounded(const core::GaussianDistribution& query,
                                   const la::Vector* const* objects,
                                   size_t count, double delta, double theta,

@@ -4,9 +4,10 @@
 // Per-query tracing: one QueryTrace records where a single PRQ spent its
 // time and what each filter stage did to the candidate set — the paper's
 // per-stage cost story (Tables I-III) as a live, per-query record instead
-// of a bench aggregate. The engine fills the filter-phase fields (RAII
-// Span timings, Phase-2 prunes broken out per filter); the Phase-3 driver
-// (exec::BatchExecutor or PrqEngine::Execute) fills the integration and
+// of a bench aggregate. The shared filter pass (core::RunFilterPhases)
+// fills the filter-phase fields (RAII Span timings, Phase-2 prunes broken
+// out per filter) on every surface; the Phase-3 driver
+// (exec::BatchExecutor or core::ExecuteInline) fills the integration and
 // sampling fields. PublishFilterPhases/PublishPhase3 fold a trace into the
 // global MetricRegistry so per-query truth and serving aggregates can never
 // drift apart — the registry totals are sums of published traces.
@@ -90,9 +91,8 @@ struct QueryTrace {
 
   // ---- Sharded scatter-gather (set by shard::ShardedPrqEngine). ----
   // Deliberately NOT folded by PublishFilterPhases/PublishPhase3: the
-  // registry's `gprq.engine.*` totals remain sums of single-engine traces
-  // (the ledger the trace tests reconcile), and the shard engine publishes
-  // its own `gprq.shard.*` series instead.
+  // shard engine publishes its own `gprq.shard.*` series. (Its filter
+  // phases are folded into `gprq.engine.*` like every other surface's.)
   uint64_t shards_routed = 0;  // shards whose MBR met the search box
   uint64_t shards_total = 0;   // shards in the deployment (0 = unsharded)
 
@@ -126,8 +126,9 @@ struct QueryTrace {
 
 /// Folds a trace's filter-phase fields (prep/phase1/phase2 spans, index
 /// visits, per-filter prunes) into the global registry under the
-/// `gprq.engine.*` names. Called once per query by PrqEngine after
-/// Phases 1-2; the Phase-3 fields are published separately by the driver.
+/// `gprq.engine.*` names. Called once per query by core::RunFilterPhases,
+/// so it counts every surface's queries; the Phase-3 fields are published
+/// separately by the driver.
 void PublishFilterPhases(const QueryTrace& trace);
 
 /// Folds a trace's Phase-3 fields (span, integrations, result size) into

@@ -315,11 +315,7 @@ Result<core::PrqResult> RemoteShardedEngine::ExecuteBounded(
 Result<std::vector<index::ObjectId>> RemoteShardedEngine::Execute(
     const core::PrqQuery& query, const core::PrqOptions& options,
     core::PrqStats* stats, obs::QueryTrace* trace) {
-  Result<core::PrqResult> bounded =
-      ExecuteBounded(query, options, stats, trace);
-  if (!bounded.ok()) return bounded.status();
-  if (!bounded->status.ok()) return bounded->status;
-  return std::move(bounded->ids);
+  return core::RequireComplete(ExecuteBounded(query, options, stats, trace));
 }
 
 net::BackendInfo RemoteShardedEngine::Describe() const {

@@ -2,47 +2,33 @@
 
 namespace gprq::shard {
 
-const core::RadiusCatalog* ShardRouter::radius_catalog() const {
-  if (radius_catalog_ == nullptr) {
-    radius_catalog_ = std::make_unique<core::RadiusCatalog>(
-        core::RadiusCatalog::Build(manifest_->dim));
-  }
-  return radius_catalog_.get();
-}
-
-const core::AlphaCatalog* ShardRouter::alpha_catalog() const {
-  if (alpha_catalog_ == nullptr) {
-    alpha_catalog_ = std::make_unique<core::AlphaCatalog>(
-        core::AlphaCatalog::Build(manifest_->dim));
-  }
-  return alpha_catalog_.get();
-}
-
 Result<RoutingDecision> ShardRouter::Route(
-    const core::PrqQuery& query, const core::PrqOptions& options,
-    core::QueryGeometry* geometry_out) const {
+    const core::PrqQuery& query, const core::PrqOptions& options) const {
   const size_t dim = manifest_->dim;
   GPRQ_RETURN_NOT_OK(core::ValidatePrq(query, options, dim));
-  core::QueryGeometry geometry = core::PrepareQueryGeometry(
-      query, options, dim, options.use_catalogs ? radius_catalog() : nullptr,
-      options.use_catalogs ? alpha_catalog() : nullptr);
+  const core::QueryGeometry geometry = core::PrepareQueryGeometry(
+      query, options, dim,
+      options.use_catalogs ? &catalogs_.radius() : nullptr,
+      options.use_catalogs ? &catalogs_.alpha() : nullptr);
 
   RoutingDecision decision;
   decision.search_box = geom::Rect::Empty(dim);
   if (geometry.proved_empty ||
       !core::ComputeSearchBox(geometry, query, dim, &decision.search_box)) {
     decision.proved_empty = true;
-    if (geometry_out != nullptr) *geometry_out = std::move(geometry);
     return decision;
   }
+  decision.routed = RouteBox(decision.search_box);
+  return decision;
+}
+
+std::vector<size_t> ShardRouter::RouteBox(const geom::Rect& search_box) const {
+  std::vector<size_t> routed;
   for (size_t k = 0; k < manifest_->shards.size(); ++k) {
     if (manifest_->shards[k].count == 0) continue;
-    if (manifest_->shards[k].mbr.Intersects(decision.search_box)) {
-      decision.routed.push_back(k);
-    }
+    if (manifest_->shards[k].mbr.Intersects(search_box)) routed.push_back(k);
   }
-  if (geometry_out != nullptr) *geometry_out = std::move(geometry);
-  return decision;
+  return routed;
 }
 
 }  // namespace gprq::shard

@@ -41,23 +41,22 @@ struct RoutingDecision {
 class ShardRouter {
  public:
   /// `manifest` must outlive the router.
-  explicit ShardRouter(const ShardManifest* manifest) : manifest_(manifest) {}
+  explicit ShardRouter(const ShardManifest* manifest)
+      : manifest_(manifest), catalogs_(manifest->dim) {}
 
-  /// Validates the query and routes it. When `geometry_out` is non-null
-  /// the prepared geometry is copied out so the caller can reuse it for
-  /// Phase 2 without preparing twice.
+  /// Validates the query and routes it.
   Result<RoutingDecision> Route(const core::PrqQuery& query,
-                                const core::PrqOptions& options,
-                                core::QueryGeometry* geometry_out = nullptr)
-      const;
+                                const core::PrqOptions& options) const;
 
-  const core::RadiusCatalog* radius_catalog() const;
-  const core::AlphaCatalog* alpha_catalog() const;
+  /// Manifest positions (ascending) of the non-empty shards whose MBR
+  /// intersects `search_box`.
+  std::vector<size_t> RouteBox(const geom::Rect& search_box) const;
+
+  const core::Catalogs& catalogs() const { return catalogs_; }
 
  private:
   const ShardManifest* manifest_;
-  mutable std::unique_ptr<core::RadiusCatalog> radius_catalog_;
-  mutable std::unique_ptr<core::AlphaCatalog> alpha_catalog_;
+  core::Catalogs catalogs_;
 };
 
 }  // namespace gprq::shard

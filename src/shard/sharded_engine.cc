@@ -1,10 +1,8 @@
 #include "shard/sharded_engine.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/filter_pipeline.h"
 #include "obs/metrics.h"
 
 namespace gprq::shard {
@@ -18,7 +16,6 @@ struct ShardMetrics {
   obs::Counter* queries;
   obs::Counter* shards_routed;
   obs::Counter* shards_considered;
-  obs::Counter* proved_empty;
   obs::Counter* reloads;
   obs::Counter* cache_invalidated;
   obs::Histogram* scatter_nanos;
@@ -29,21 +26,12 @@ struct ShardMetrics {
       return ShardMetrics{r.GetCounter("gprq.shard.queries"),
                           r.GetCounter("gprq.shard.shards_routed"),
                           r.GetCounter("gprq.shard.shards_considered"),
-                          r.GetCounter("gprq.shard.proved_empty"),
                           r.GetCounter("gprq.shard.reloads"),
                           r.GetCounter("gprq.shard.cache_invalidated"),
                           r.GetHistogram("gprq.shard.scatter_nanos")};
     }();
     return metrics;
   }
-};
-
-/// Per-shard scatter state; slot k is written only by shard k's task.
-struct ShardSlot {
-  core::PrqEngine::FilterOutcome outcome;
-  core::Phase2Counts counts;
-  uint64_t index_candidates = 0;
-  bool expired = false;
 };
 
 }  // namespace
@@ -148,146 +136,67 @@ Result<std::vector<size_t>> ShardedPrqEngine::Route(
 Result<core::PrqResult> ShardedPrqEngine::ExecuteBounded(
     const core::PrqQuery& query, const core::PrqOptions& options,
     core::PrqStats* stats, obs::QueryTrace* trace) {
-  GPRQ_RETURN_NOT_OK(core::ValidatePrq(query, options, manifest_.dim));
   const ShardMetrics& metrics = ShardMetrics::Get();
-  core::PrqStats local_stats;
-  core::PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
-  out_stats = core::PrqStats();
-  if (trace != nullptr) {
-    *trace = obs::QueryTrace();
-    trace->shards_total = shards_.size();
-  }
   metrics.queries->Add(1);
   metrics.shards_considered->Add(shards_.size());
-
   const common::QueryControl& control = options.control;
-  if (!control.Unbounded() && control.ShouldStop()) {
-    // Stopped on entry: like the single-tree engine, short-circuit before
-    // touching any shard. Nothing was scanned, so there is nothing to list
-    // as undecided; the status says the answer is not the full one.
-    core::PrqResult result;
-    result.status = control.StopStatus();
-    if (trace != nullptr) trace->deadline_expired = true;
-    return result;
-  }
 
-  // ---- Prep + route: one geometry for every shard (immutable during the
-  // scatter), then the shared MBR routing decision.
-  core::QueryGeometry geometry;
-  RoutingDecision decision;
-  {
-    obs::QueryTrace::Span span(trace, obs::QueryTrace::kPrep);
-    Stopwatch watch;
-    Result<RoutingDecision> routed_result =
-        router_.Route(query, options, &geometry);
-    if (!routed_result.ok()) return routed_result.status();
-    decision = std::move(*routed_result);
-    out_stats.prep_seconds = watch.ElapsedSeconds();
-  }
-
-  if (decision.proved_empty) {
-    out_stats.proved_empty = true;
-    if (trace != nullptr) trace->proved_empty = true;
-    metrics.proved_empty->Add(1);
-    return core::PrqResult{};
-  }
-  const geom::Rect& search_box = decision.search_box;
-  const std::vector<size_t>& routed = decision.routed;
-  metrics.shards_routed->Add(routed.size());
-  if (trace != nullptr) trace->shards_routed = routed.size();
-
-  // ---- Scatter: Phases 1-2 per routed shard, one task per shard so each
-  // shard's buffer pool is touched by exactly one thread.
-  std::vector<ShardSlot> slots(routed.size());
-  {
-    Stopwatch watch;
-    obs::QueryTrace::Span span(trace, obs::QueryTrace::kPhase1);
-    std::vector<exec::WorkerPool::Task> tasks;
-    tasks.reserve(routed.size());
-    for (size_t i = 0; i < routed.size(); ++i) {
-      index::PagedRStarTree* tree = shards_[routed[i]].get();
-      ShardSlot* slot = &slots[i];
-      tasks.push_back([&query, &options, &geometry, &search_box, &control,
-                       tree, slot](size_t) {
-        if (!control.Unbounded() && control.ShouldStop()) {
-          // Fired before this shard was scanned; its candidates stay
-          // unknown and the merged result's status reports the truncation.
-          slot->expired = true;
-          return;
+  // Phase 1 is a scatter: one range search per routed shard, one task per
+  // shard so each shard's buffer pool is touched by exactly one thread,
+  // concatenated in shard order (shards partition the points, so the
+  // union needs no deduplication). Phase 2 then runs once over the union.
+  const core::CandidateSource scatter =
+      [this, &metrics, &control](
+          const geom::Rect& search_box,
+          std::vector<std::pair<la::Vector, index::ObjectId>>* candidates,
+          obs::QueryTrace* tr) {
+        const std::vector<size_t> routed = router_.RouteBox(search_box);
+        metrics.shards_routed->Add(routed.size());
+        tr->shards_routed = routed.size();
+        std::vector<std::vector<std::pair<la::Vector, index::ObjectId>>>
+            found(routed.size());
+        std::vector<Status> statuses(routed.size());
+        std::vector<exec::WorkerPool::Task> tasks;
+        tasks.reserve(routed.size());
+        for (size_t i = 0; i < routed.size(); ++i) {
+          tasks.push_back([&, i](size_t) {
+            // A shard the control stops before is never scanned; the
+            // filter pass sees the fired control after Phase 1 and
+            // degrades, so the missing candidates cannot pass for an
+            // answer.
+            if (!control.Unbounded() && control.ShouldStop()) return;
+            statuses[i] = shards_[routed[i]]->RangeQuery(
+                search_box, [&found, i](const la::Vector& point,
+                                        index::ObjectId id) {
+                  found[i].emplace_back(point, id);
+                });
+          });
         }
-        std::vector<std::pair<la::Vector, index::ObjectId>> candidates;
-        const Status scanned = tree->RangeQuery(
-            search_box,
-            [&candidates](const la::Vector& point, index::ObjectId id) {
-              candidates.emplace_back(point, id);
-            });
-        if (!scanned.ok()) throw std::runtime_error(scanned.ToString());
-        slot->index_candidates = candidates.size();
-        if (!control.Unbounded() && control.ShouldStop()) {
-          // Fired between the phases: skip Phase 2, surface every scanned
-          // candidate as a survivor (the engine's expired-filter rule).
-          slot->outcome.survivors = std::move(candidates);
-          slot->expired = true;
-          return;
+        Stopwatch watch;
+        GPRQ_RETURN_NOT_OK(executor_->RunTasks(std::move(tasks)));
+        metrics.scatter_nanos->Record(watch.ElapsedNanos());
+        for (size_t i = 0; i < routed.size(); ++i) {
+          GPRQ_RETURN_NOT_OK(statuses[i]);
+          candidates->insert(candidates->end(),
+                             std::make_move_iterator(found[i].begin()),
+                             std::make_move_iterator(found[i].end()));
         }
-        core::RunPhase2(query, options, geometry, std::move(candidates),
-                        &slot->outcome, &slot->counts);
-      });
-    }
-    GPRQ_RETURN_NOT_OK(executor_->RunTasks(std::move(tasks)));
-    const uint64_t scatter_nanos = watch.ElapsedNanos();
-    metrics.scatter_nanos->Record(scatter_nanos);
-    // The scatter interleaves both phases across shards; attribute its wall
-    // time to Phase 1 (the span above) and report the same figure in stats.
-    out_stats.phase1_seconds = scatter_nanos * 1e-9;
-  }
-
-  // ---- Gather: set union in shard order (deterministic merge).
-  core::PrqEngine::FilterOutcome merged;
-  merged.search_box = search_box;
-  for (ShardSlot& slot : slots) {
-    merged.expired = merged.expired || slot.expired;
-    merged.accepted.insert(merged.accepted.end(),
-                           std::make_move_iterator(slot.outcome.accepted.begin()),
-                           std::make_move_iterator(slot.outcome.accepted.end()));
-    merged.survivors.insert(
-        merged.survivors.end(),
-        std::make_move_iterator(slot.outcome.survivors.begin()),
-        std::make_move_iterator(slot.outcome.survivors.end()));
-    out_stats.index_candidates += slot.index_candidates;
-    out_stats.pruned_rr_fringe += slot.counts.pruned_rr_fringe;
-    out_stats.pruned_bf_outer += slot.counts.pruned_bf_outer;
-    out_stats.pruned_or += slot.counts.pruned_or;
-    out_stats.pruned_marginal += slot.counts.pruned_marginal;
-  }
-  out_stats.accepted_without_integration = merged.accepted.size();
-  out_stats.integration_candidates = merged.survivors.size();
-  if (trace != nullptr) {
-    trace->index_candidates = out_stats.index_candidates;
-    trace->pruned_rr_fringe = out_stats.pruned_rr_fringe;
-    trace->pruned_bf_outer = out_stats.pruned_bf_outer;
-    trace->pruned_or = out_stats.pruned_or;
-    trace->pruned_marginal = out_stats.pruned_marginal;
-    trace->accepted_bf_inner = merged.accepted.size();
-    trace->phase3_candidates = merged.survivors.size();
-  }
-
-  // ---- Phase 3: one fan-out over the merged survivors, with the shared
-  // per-query pool — decided ids are therefore set-identical to a
-  // single-tree engine's, whatever the shard count.
-  return executor_->IntegrateOutcomeBounded(query, std::move(merged), control,
-                                            stats, trace,
-                                            options.pool_variant);
+        return Status::OK();
+      };
+  // No cache serving here (the serving layer above owns that); Phase 3
+  // runs once over the union with the shared per-query pool, so decided
+  // ids are set-identical to a single-tree engine's for any shard count.
+  Result<core::PrqResult> result = executor_->ExecuteBounded(
+      query, options, manifest_.dim, router_.catalogs(), scatter, nullptr, 0,
+      stats, trace);
+  if (trace != nullptr) trace->shards_total = shards_.size();
+  return result;
 }
 
 Result<std::vector<index::ObjectId>> ShardedPrqEngine::Execute(
     const core::PrqQuery& query, const core::PrqOptions& options,
     core::PrqStats* stats, obs::QueryTrace* trace) {
-  Result<core::PrqResult> bounded =
-      ExecuteBounded(query, options, stats, trace);
-  if (!bounded.ok()) return bounded.status();
-  if (!bounded->status.ok()) return bounded->status;
-  return std::move(bounded->ids);
+  return core::RequireComplete(ExecuteBounded(query, options, stats, trace));
 }
 
 Status ShardedPrqEngine::ReloadShard(size_t shard) {

@@ -39,17 +39,20 @@ struct ShardedEngineOptions {
 /// Scatter-gather PRQ execution over a sharded dataset (BuildShards): each
 /// shard is an independent paged R*-tree with its own buffer pool, a query
 /// is routed to only the shards whose MBR intersects its Phase-1 search
-/// box, Phases 1-2 run shard-parallel on the executor's worker pool, and
-/// the per-shard outcomes merge by set union — shards partition the points,
-/// so no cross-shard coordination or deduplication is needed. Phase 3 runs
-/// once over the merged survivors through the executor's normal fan-out
-/// with the shared per-query sample pool, so decided ids are set-identical
-/// to a single-tree engine over the same points, for any shard count.
+/// box, and Phase 1 runs shard-parallel on the executor's worker pool. The
+/// per-shard candidates merge by concatenation in shard order — shards
+/// partition the points, so no deduplication is needed. That scatter is
+/// this engine's candidate source for the shared query body
+/// (exec::BatchExecutor::ExecuteBounded, with no cache): Phase 2 runs once
+/// over the union and Phase 3 through the executor's normal fan-out with
+/// the shared per-query sample pool, so decided ids are set-identical to a
+/// single-tree engine over the same points, for any shard count.
 ///
-/// Deadline/brownout semantics compose per shard: a control that fires
-/// during the scatter leaves the unfinished shards' candidates undecided
-/// (sound — filtering only removes certain non-qualifiers), exactly like
-/// the single-tree engine's expired filter pass.
+/// Deadline/brownout semantics are the shared body's: a control that
+/// fires during the scatter leaves the unscanned shards out and every
+/// scanned candidate undecided (sound — filtering only removes certain
+/// non-qualifiers), exactly like the single-tree engine's expired filter
+/// pass. A shard read error fails the query with its status.
 ///
 /// Threading: one submitter at a time (the workers are the parallelism),
 /// matching BatchExecutor's contract. Each scatter task touches exactly
@@ -77,7 +80,7 @@ class ShardedPrqEngine {
                                          core::PrqStats* stats = nullptr,
                                          obs::QueryTrace* trace = nullptr);
 
-  /// Complete-answer wrapper: a degraded run surfaces as its stop status.
+  /// Complete-answer wrapper: ExecuteBounded through core::RequireComplete.
   Result<std::vector<index::ObjectId>> Execute(
       const core::PrqQuery& query, const core::PrqOptions& options,
       core::PrqStats* stats = nullptr, obs::QueryTrace* trace = nullptr);

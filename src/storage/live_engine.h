@@ -9,13 +9,15 @@
 // are simply not visible to queries already in flight, which is exactly
 // the isolation level a consistent range query needs (no phantoms, no
 // half-applied batches; tests/storage_snapshot_test.cc proves it under
-// TSan). Phases 1-2 reuse core/filter_pipeline — the same geometry and
-// filter loop as PrqEngine and the sharded engine, so the differential
-// suite can compare the mutable path id-for-id against a freshly
-// bulk-loaded R*-tree. Phase 3 fans out through the caller's
-// exec::BatchExecutor (a detached executor: this engine owns the filter
-// phases, the executor supplies workers, evaluators and per-query sample
-// pools).
+// TSan). Everything after the pin is the shared query body
+// (exec::BatchExecutor::ExecuteBounded): cache lookup, the filter pass of
+// core/filter_pipeline with the snapshot as its candidate source, the
+// Phase-3 fan-out on the caller's executor (a detached executor: this
+// engine owns the candidate source, the executor supplies workers,
+// evaluators and per-query sample pools) and cache publication — so the
+// differential suite can compare the mutable path id-for-id against a
+// freshly bulk-loaded R*-tree, and an exact cache hit is served before
+// the stop check exactly as on the executor.
 //
 // The semantic result cache composes with updates: EnableResultCache
 // attaches the cache to the storage engine, whose commits invalidate
@@ -32,9 +34,8 @@
 
 #include "cache/result_cache.h"
 #include "common/status.h"
-#include "core/alpha_catalog.h"
+#include "core/engine.h"
 #include "core/prq.h"
-#include "core/radius_catalog.h"
 #include "exec/batch_executor.h"
 #include "obs/trace.h"
 #include "storage/storage_engine.h"
@@ -45,7 +46,7 @@ class LivePrqEngine {
  public:
   /// Both pointers are borrowed and must outlive the engine. The executor
   /// must be detached (CreateDetached) or otherwise dedicated: this engine
-  /// uses only IntegrateOutcomeBounded.
+  /// runs its queries through ExecuteBounded.
   LivePrqEngine(StorageEngine* storage, exec::BatchExecutor* executor);
 
   /// Creates the semantic result cache and attaches it to the storage
@@ -66,36 +67,18 @@ class LivePrqEngine {
                                          core::PrqStats* stats = nullptr,
                                          obs::QueryTrace* trace = nullptr);
 
-  /// Complete-answer convenience: ExecuteBounded, surfacing a degraded
-  /// run's stop status as the error.
+  /// Complete-answer convenience: ExecuteBounded through
+  /// core::RequireComplete.
   Result<std::vector<index::ObjectId>> Execute(
       const core::PrqQuery& query, const core::PrqOptions& options,
       core::PrqStats* stats = nullptr, obs::QueryTrace* trace = nullptr);
 
  private:
-  const core::RadiusCatalog* radius_catalog() const;
-  const core::AlphaCatalog* alpha_catalog() const;
-
-  /// Phase 3 + cache publication (mirrors BatchExecutor's miss path): fans
-  /// the outcome's survivors out under options.control and, when the cache
-  /// is on and the answer complete, publishes it for future exact and
-  /// containment serves. `pinned_epoch` is the epoch the answer was
-  /// computed against; publication is skipped when a commit superseded it
-  /// mid-query (the answer is correct for its epoch but possibly stale for
-  /// the current one, and commit-time invalidation already ran).
-  Result<core::PrqResult> IntegrateAndPublish(
-      const core::PrqQuery& query, const core::PrqOptions& options,
-      uint64_t config_bits, uint64_t pinned_epoch,
-      core::PrqEngine::FilterOutcome outcome, core::PrqStats* stats,
-      obs::QueryTrace* trace);
-
   StorageEngine* storage_;
   exec::BatchExecutor* executor_;
   std::unique_ptr<cache::ResultCache> cache_;
-  // Lazy per-dimension catalogs (the sharded engine's idiom); touched only
-  // by the submitting thread.
-  mutable std::unique_ptr<core::RadiusCatalog> radius_catalog_;
-  mutable std::unique_ptr<core::AlphaCatalog> alpha_catalog_;
+  // Touched only by the submitting thread.
+  core::Catalogs catalogs_;
 };
 
 }  // namespace gprq::storage

@@ -10,6 +10,7 @@
 
 #include "index/str_bulk_load.h"
 #include "mc/exact_evaluator.h"
+#include "mc/monte_carlo.h"
 #include "workload/generators.h"
 
 namespace gprq::core {
@@ -76,6 +77,42 @@ TEST(PagedPrq, MatchesInMemoryEngineAcrossCombos) {
     std::sort(b.begin(), b.end());
     EXPECT_EQ(b, a) << StrategyName(mask);
     EXPECT_GT(stats.node_reads, 0u);
+  }
+}
+
+TEST(PagedPrq, MonteCarloMatchesInMemoryEngineAcrossCombos) {
+  // The paged path runs the engine's Phase 3 — one per-query pool, the same
+  // batched decision — so a sampling evaluator gives identical id sets too,
+  // not just the exact one. A small pool makes boundary candidates common,
+  // so any per-candidate sampling would show up as a differing id.
+  auto fixture = PagedFixture::Make(5000, 5);
+  index::PagedRStarTree::OpenOptions open_options;
+  open_options.page_size = 1024;
+  auto paged = index::PagedRStarTree::Open(fixture.path, open_options);
+  ASSERT_TRUE(paged.ok());
+  const PrqEngine engine(&fixture.tree);
+
+  const StrategyMask combos[] = {kStrategyRR, kStrategyBF, kStrategyOR,
+                                 kStrategyAll};
+  for (StrategyMask mask : combos) {
+    PrqOptions options;
+    options.strategies = mask;
+    options.use_catalogs = false;
+    for (const double theta : {0.05, 0.3}) {
+      const auto query = MakeQuery(fixture, 10.0, 25.0, theta);
+      mc::MonteCarloEvaluator in_memory({.samples = 500, .seed = 7});
+      mc::MonteCarloEvaluator on_pages({.samples = 500, .seed = 7});
+      auto expected = engine.Execute(query, options, &in_memory);
+      ASSERT_TRUE(expected.ok());
+      auto got = ExecutePagedPrq(*paged, query, options, &on_pages, nullptr,
+                                 nullptr);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+      std::vector<index::ObjectId> a = *expected, b = *got;
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      EXPECT_EQ(b, a) << StrategyName(mask) << " theta=" << theta;
+    }
   }
 }
 

@@ -238,8 +238,9 @@ TEST(DecideBatch, MonteCarloPooledMatchesPoolCounts) {
   std::vector<const la::Vector*> ptrs;
   for (const auto& o : objects) ptrs.push_back(&o);
   std::vector<char> decisions(objects.size(), 2);
-  evaluator.DecideBatch(g, ptrs.data(), ptrs.size(), delta, theta, pool.get(),
-                        decisions.data());
+  evaluator.DecideBatchBounded(g, ptrs.data(), ptrs.size(), delta, theta,
+                               pool.get(), common::QueryControl::Unlimited(),
+                               decisions.data());
   for (size_t i = 0; i < objects.size(); ++i) {
     const double p = pool->EstimateProbability(objects[i], delta).probability;
     EXPECT_EQ(decisions[i] != 0, p >= theta) << "object " << i;
@@ -256,18 +257,22 @@ TEST(DecideBatch, ZeroAndOneCandidates) {
 
   // 0 candidates: valid call, nothing written.
   EXPECT_NO_FATAL_FAILURE(
-      mc.DecideBatch(g, nullptr, 0, 1.0, 0.5, mc_pool.get(), nullptr));
-  EXPECT_NO_FATAL_FAILURE(adaptive.DecideBatch(g, nullptr, 0, 1.0, 0.5,
-                                               adaptive_pool.get(), nullptr));
+      mc.DecideBatchBounded(g, nullptr, 0, 1.0, 0.5, mc_pool.get(),
+                            common::QueryControl::Unlimited(), nullptr));
+  EXPECT_NO_FATAL_FAILURE(adaptive.DecideBatchBounded(
+      g, nullptr, 0, 1.0, 0.5, adaptive_pool.get(),
+      common::QueryControl::Unlimited(), nullptr));
 
   // 1 candidate at the mean with a generous δ: certain qualifier.
   const la::Vector at_mean{0.0, 0.0};
   const la::Vector* one[] = {&at_mean};
   char decision = 0;
-  mc.DecideBatch(g, one, 1, 5.0, 0.5, mc_pool.get(), &decision);
+  mc.DecideBatchBounded(g, one, 1, 5.0, 0.5, mc_pool.get(),
+                        common::QueryControl::Unlimited(), &decision);
   EXPECT_NE(decision, 0);
   decision = 0;
-  adaptive.DecideBatch(g, one, 1, 5.0, 0.5, adaptive_pool.get(), &decision);
+  adaptive.DecideBatchBounded(g, one, 1, 5.0, 0.5, adaptive_pool.get(),
+                              common::QueryControl::Unlimited(), &decision);
   EXPECT_NE(decision, 0);
 }
 
@@ -284,8 +289,9 @@ TEST(DecideBatch, AdaptivePooledTracksSampleCounters) {
   std::vector<const la::Vector*> ptrs;
   for (const auto& o : objects) ptrs.push_back(&o);
   std::vector<char> decisions(objects.size(), 1);
-  adaptive.DecideBatch(g, ptrs.data(), ptrs.size(), 2.0, 0.05, pool.get(),
-                       decisions.data());
+  adaptive.DecideBatchBounded(g, ptrs.data(), ptrs.size(), 2.0, 0.05,
+                              pool.get(), common::QueryControl::Unlimited(),
+                              decisions.data());
   for (const char d : decisions) EXPECT_EQ(d, 0);
   const double avg = static_cast<double>(adaptive.total_samples()) /
                      static_cast<double>(objects.size());
@@ -307,8 +313,10 @@ TEST(DecideBatch, DefaultFallbackWithoutPoolMatchesPerCandidate) {
   std::vector<const la::Vector*> ptrs;
   for (const auto& o : objects) ptrs.push_back(&o);
   std::vector<char> decisions(objects.size(), 2);
-  batched.DecideBatch(g, ptrs.data(), ptrs.size(), 2.0, 0.05,
-                      /*pool=*/nullptr, decisions.data());
+  batched.DecideBatchBounded(g, ptrs.data(), ptrs.size(), 2.0, 0.05,
+                             /*pool=*/nullptr,
+                             common::QueryControl::Unlimited(),
+                             decisions.data());
   for (size_t i = 0; i < objects.size(); ++i) {
     EXPECT_EQ(decisions[i] != 0,
               single.QualificationDecision(g, objects[i], 2.0, 0.05))
@@ -550,8 +558,9 @@ TEST(ExactCount, BrownoutDecidesLikeTheUnloadedBatch) {
   for (const auto& o : objects) ptrs.push_back(&o);
   const double delta = 2.0, theta = 0.1;
   std::vector<char> unloaded(objects.size(), kDecideUndecided);
-  evaluator.DecideBatch(g, ptrs.data(), ptrs.size(), delta, theta, pool.get(),
-                        unloaded.data());
+  evaluator.DecideBatchBounded(g, ptrs.data(), ptrs.size(), delta, theta,
+                               pool.get(), common::QueryControl::Unlimited(),
+                               unloaded.data());
   common::QueryControl control;
   control.sample_budget = 2000;
   std::vector<char> capped(objects.size(), kDecideUndecided);
@@ -592,8 +601,9 @@ TEST(ExactCount, ConcurrentChunksOnOnePoolMatchOneThread) {
   const double delta = 1.5, theta = 0.02;
 
   std::vector<char> serial(objects.size(), kDecideUndecided);
-  builder.DecideBatch(g, ptrs.data(), ptrs.size(), delta, theta, pool.get(),
-                      serial.data());
+  builder.DecideBatchBounded(g, ptrs.data(), ptrs.size(), delta, theta,
+                             pool.get(), common::QueryControl::Unlimited(),
+                             serial.data());
   for (size_t i = 0; i < objects.size(); ++i) {
     const uint64_t hits =
         pool->CountWithin(objects[i], delta * delta, 0, pool->size());
@@ -612,10 +622,12 @@ TEST(ExactCount, ConcurrentChunksOnOnePoolMatchOneThread) {
       MonteCarloEvaluator worker({.samples = 20000, .seed = 7});
       const size_t begin = w * chunk;
       const size_t end = std::min(objects.size(), begin + chunk);
-      // Odd workers take the bounded entry point: same loop, same answers.
+      // Odd workers run under a live deadline: same loop, same answers.
       if (w % 2 == 0) {
-        worker.DecideBatch(g, ptrs.data() + begin, end - begin, delta, theta,
-                           pool.get(), parallel.data() + begin);
+        worker.DecideBatchBounded(g, ptrs.data() + begin, end - begin, delta,
+                                  theta, pool.get(),
+                                  common::QueryControl::Unlimited(),
+                                  parallel.data() + begin);
       } else {
         worker.DecideBatchBounded(g, ptrs.data() + begin, end - begin, delta,
                                   theta, pool.get(), control,

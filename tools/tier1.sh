@@ -5,15 +5,15 @@
 # path, the exec/ worker-pool/batch-executor layer, the obs
 # metric-registry concurrency suites, the cross-thread-count determinism
 # regression, the fault/deadline/overload robustness suites, and the
-# result-cache, SIMD-kernel and sharded scatter-gather differential
-# suites, the sample pool's exactness differential with concurrent
-# readers of one pool, the net/ wire-protocol robustness + live-server +
-# end-to-end differential suites, the storage engine's
+# result-cache, SIMD-kernel, sharded scatter-gather and paged-vs-engine
+# differential suites, the sample pool's exactness differential with
+# concurrent readers of one pool, the net/ wire-protocol robustness +
+# live-server + end-to-end differential suites, the storage engine's
 # crash-recovery, churn-differential and epoch-snapshot suites, and the
 # remote-coordinator differential/chaos suite with its hostile
-# shard-manifest battery) and an
-# ASan+UBSan pass (GPRQ_SANITIZE=address,undefined) over the same set —
-# plus a GPRQ_FAULT=OFF build proving the failpoint macro compiles out.
+# shard-manifest battery) and an ASan+UBSan pass
+# (GPRQ_SANITIZE=address,undefined) over the same set — plus a
+# GPRQ_FAULT=OFF build proving the failpoint macro compiles out.
 #
 # Usage: tier1.sh [all|build|tsan|asan|faultoff]
 #   all      (default) standard build + ctest, then TSan, ASan, fault-off
@@ -31,15 +31,16 @@ case "${MODE}" in
   *) echo "usage: $0 [all|build|tsan|asan|faultoff]" >&2; exit 2 ;;
 esac
 
-THREADED_TESTS='sample_pool_test|parallel_test|worker_pool_test|batch_executor_test|determinism_test|metrics_test|trace_test|fault_test|deadline_test|overload_test|cache_test|simd_kernel_test|shard_test|net_protocol_test|net_server_test|net_e2e_test|storage_recovery_test|storage_differential_test|storage_snapshot_test|remote_test|shard_manifest_test'
 THREADED_TARGETS=(sample_pool_test parallel_test worker_pool_test
                   batch_executor_test
                   determinism_test metrics_test trace_test
                   fault_test deadline_test overload_test
-                  cache_test simd_kernel_test shard_test
+                  cache_test simd_kernel_test shard_test paged_prq_test
                   net_protocol_test net_server_test net_e2e_test
                   storage_recovery_test storage_differential_test
                   storage_snapshot_test remote_test shard_manifest_test)
+# The ctest filter is built from the target list so the two cannot disagree.
+THREADED_TESTS="^($(IFS='|'; echo "${THREADED_TARGETS[*]}"))\$"
 
 # 1. Standard tier-1: full build + ctest.
 if [[ "${MODE}" == "all" || "${MODE}" == "build" ]]; then
