@@ -4,9 +4,10 @@
 // Wilson early termination vs the cell-ordered pool's exact pruned count
 // (the fixed-budget decision counting only the samples a candidate's δ-ball
 // can reach) — plus the kernel-level roofline (scalar reference vs the
-// dispatched SIMD kernel, plain and fused transform-and-count). Emits
-// BENCH_phase3.json, headed by the machine facts (cores, dispatched
-// kernel), so the perf trajectory is machine-trackable across PRs.
+// dispatched SIMD kernel, plain and fused transform-and-count) — plus the
+// pruned count on a 9-D oblique query. Emits BENCH_phase3.json, headed by
+// the machine and build facts (cores, dispatched kernel, build type and
+// options), so the perf trajectory is machine-trackable across PRs.
 //
 // Env overrides: GPRQ_MC_SAMPLES (default 100000), GPRQ_BENCH_CANDIDATES
 // (default 100), GPRQ_TRIALS (default 3), GPRQ_BENCH_JSON (output path,
@@ -27,8 +28,29 @@
 #include "rng/random.h"
 #include "workload/generators.h"
 
+#ifndef GPRQ_BUILD_TYPE
+#define GPRQ_BUILD_TYPE "unknown"  // the build defines it for bench targets
+#endif
+
 namespace gprq {
 namespace {
+
+// The build options the report's machine entry records (1 = ON).
+#ifdef GPRQ_SIMD_DISABLED
+constexpr double kSimd = 0.0;
+#else
+constexpr double kSimd = 1.0;
+#endif
+#ifdef GPRQ_OBS_DISABLED
+constexpr double kObs = 0.0;
+#else
+constexpr double kObs = 1.0;
+#endif
+#ifdef GPRQ_FAULT_DISABLED
+constexpr double kFault = 0.0;
+#else
+constexpr double kFault = 1.0;
+#endif
 
 // Kernel-level roofline: raw count throughput of the scalar reference vs
 // the dispatched SIMD kernel (and the fused transform-and-count variant)
@@ -120,6 +142,79 @@ void RunKernelBench(bench::JsonReport& report, uint64_t trials) {
       }
     }
   }
+}
+
+// The pruned count in 9-D: a query Σ at a random orientation with the
+// axis scales of a relevance-feedback session (0.09–0.6), δ = 0.7 above all
+// of them, θ = 0.2, and candidates drawn from N(q, 1.5²Σ) like that
+// session's Phase-2 survivors. The eigenframe grid and its ρ slabs are
+// what this row measures: samples examined per decision and decisions per
+// second, with answers checked against the full-pool count.
+void RunNineDimBench(bench::JsonReport& report, uint64_t samples,
+                     uint64_t candidates, uint64_t trials) {
+  constexpr size_t d = 9;
+  const la::Vector scales{0.09, 0.09, 0.09, 0.11, 0.13,
+                          0.21, 0.40, 0.53, 0.60};
+  auto g = core::GaussianDistribution::Create(
+      la::Vector(d), workload::RandomRotatedCovariance(scales, 1));
+  if (!g.ok()) std::abort();
+  const double delta = 0.7;
+  const double theta = 0.2;
+  rng::Random placement(9);
+  std::vector<la::Vector> objects;
+  for (uint64_t i = 0; i < candidates; ++i) {
+    la::Vector o(d);
+    g->Sample(placement, o);
+    for (size_t a = 0; a < d; ++a) o[a] *= 1.5;
+    objects.push_back(std::move(o));
+  }
+
+  double seconds = 0.0;
+  uint64_t examined = 0;
+  size_t qualifying = 0;
+  bool agrees = true;
+  for (uint64_t t = 0; t < trials; ++t) {
+    const mc::SamplePool pool(*g, samples, 100 + t,
+                              mc::PoolVariant::kPseudoRandom,
+                              mc::PoolLayout::kCells);
+    std::vector<char> decided(objects.size());
+    Stopwatch timer;
+    for (size_t i = 0; i < objects.size(); ++i) {
+      const auto decision = pool.DecideExact(objects[i], delta, theta, {});
+      decided[i] =
+          decision.outcome == mc::SamplePool::ExactDecision::kQualifies;
+      examined += decision.examined;
+    }
+    seconds += timer.ElapsedSeconds();
+    qualifying = 0;
+    for (size_t i = 0; i < objects.size(); ++i) {
+      const uint64_t hits =
+          pool.CountWithin(objects[i], delta * delta, 0, pool.size());
+      const bool full = static_cast<double>(hits) >=
+                        theta * static_cast<double>(pool.size());
+      agrees = agrees && (full == (decided[i] != 0));
+      qualifying += decided[i];
+    }
+  }
+  const double decisions = static_cast<double>(candidates * trials);
+  const double per_decision = static_cast<double>(examined) / decisions;
+  std::printf("\n9-D oblique pooled+pruned (n=%llu, %llu candidates, "
+              "delta=%.1f, theta=%.1f)\n",
+              static_cast<unsigned long long>(samples),
+              static_cast<unsigned long long>(candidates), delta, theta);
+  std::printf("  samples examined per decision %.0f (%.1f%% of the pool), "
+              "%.0f decisions/sec, answers %s the full count\n",
+              per_decision,
+              100.0 * per_decision / static_cast<double>(samples),
+              decisions / seconds, agrees ? "match" : "DIFFER FROM");
+  report.Add("pooled+pruned-d9",
+             {{"dim", static_cast<double>(d)},
+              {"candidates", static_cast<double>(candidates)},
+              {"samples", static_cast<double>(samples)},
+              {"samples_per_decision", per_decision},
+              {"decisions_per_sec", decisions / seconds},
+              {"qualifying", static_cast<double>(qualifying)},
+              {"matches_full_count", agrees ? 1.0 : 0.0}});
 }
 
 struct Mode {
@@ -254,7 +349,12 @@ void Run() {
   report.Add("machine", bench::JsonValue::Object()
                             .Set("nproc", bench::JsonValue(
                                               static_cast<double>(cores)))
-                            .Set("kernel", bench::JsonValue(kernel)));
+                            .Set("kernel", bench::JsonValue(kernel))
+                            .Set("build_type",
+                                 bench::JsonValue(GPRQ_BUILD_TYPE))
+                            .Set("GPRQ_SIMD", bench::JsonValue(kSimd))
+                            .Set("GPRQ_OBS", bench::JsonValue(kObs))
+                            .Set("GPRQ_FAULT", bench::JsonValue(kFault)));
   std::printf("%-22s%14s%18s%14s%12s\n", "phase-3 path", "phase3 (ms)",
               "samples/cand", "cand/sec", "speedup");
   bench::Rule(80);
@@ -282,6 +382,7 @@ void Run() {
               per_candidate.qualifying, pooled.qualifying,
               pooled_early.qualifying, pooled_pruned.qualifying,
               static_cast<unsigned long long>(candidates));
+  RunNineDimBench(report, samples, candidates, trials);
   RunKernelBench(report, trials);
   if (report.WriteFile(json_path)) {
     std::printf("wrote %s\n", json_path.c_str());

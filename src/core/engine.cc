@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -141,15 +142,10 @@ Result<PrqResult> ExecuteInline(size_t dim, const Catalogs& catalogs,
   PrqResult result;
   if (outcome.proved_empty) return result;  // complete, empty
 
-  // Inner-accepted objects stay in the answer even when the query stops —
-  // their membership was proven before the stop.
-  result.ids.reserve(outcome.accepted.size());
-  for (const auto& [point, id] : outcome.accepted) result.ids.push_back(id);
-
+  std::vector<char> states(outcome.survivors.size(), mc::kDecideUndecided);
   if (!outcome.survivors.empty()) {
     obs::QueryTrace::Span span(&trace, obs::QueryTrace::kPhase3);
     const size_t n = outcome.survivors.size();
-    std::vector<char> states(n, mc::kDecideUndecided);
     // A control that fired during the filter phases (the survivors may be
     // the whole unfiltered candidate set) or before pool construction
     // leaves every survivor undecided without drawing a single sample.
@@ -165,15 +161,22 @@ Result<PrqResult> ExecuteInline(size_t dim, const Catalogs& catalogs,
                                     query.delta, query.theta, pool.get(),
                                     control, states.data());
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (states[i] == mc::kDecideIncluded) {
-        result.ids.push_back(outcome.survivors[i].second);
-      } else if (states[i] == mc::kDecideUndecided) {
-        result.undecided.push_back(outcome.survivors[i].second);
-      }
-    }
-    trace.integrations = n - result.undecided.size();
   }
+  // Inner-accepted objects stay in the answer even when the query stops —
+  // their membership was proven before the stop. The answer is sized to
+  // itself, with no room kept for the survivors Phase 3 rejected.
+  result.ids.reserve(outcome.accepted.size() +
+                     std::count(states.begin(), states.end(),
+                                mc::kDecideIncluded));
+  for (const auto& [point, id] : outcome.accepted) result.ids.push_back(id);
+  for (size_t i = 0; i < states.size(); ++i) {
+    if (states[i] == mc::kDecideIncluded) {
+      result.ids.push_back(outcome.survivors[i].second);
+    } else if (states[i] == mc::kDecideUndecided) {
+      result.undecided.push_back(outcome.survivors[i].second);
+    }
+  }
+  trace.integrations = states.size() - result.undecided.size();
   if (outcome.expired || !result.undecided.empty()) {
     result.status = DegradedStatus(control);
   }

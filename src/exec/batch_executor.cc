@@ -319,9 +319,7 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
 
   ScopedTimer phase_timer(metrics_.phase3_nanos);
   core::PrqResult result;
-  result.ids.reserve(outcome.accepted.size() + outcome.survivors.size());
-  for (const auto& [point, id] : outcome.accepted) result.ids.push_back(id);
-
+  std::vector<index::ObjectId> included;  // the survivors Phase 3 accepted
   if (outcome.expired || (!control.Unbounded() && control.ShouldStop())) {
     // Fired during the filter phases or before the fan-out: every survivor
     // is unresolved, without building a pool or waking a worker. The
@@ -338,8 +336,7 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
                   MakeQueryPool(query, pool_variant), control, &slot, &latch);
     latch.Wait();
     // After the latch no worker writes to the slot; reads need no lock.
-    result.ids.insert(result.ids.end(), slot.merged.begin(),
-                      slot.merged.end());
+    included = std::move(slot.merged);
     result.undecided = std::move(slot.undecided);
     if (slot.errors.failed) {
       result.status = slot.errors.ToStatus();
@@ -347,6 +344,11 @@ Result<core::PrqResult> BatchExecutor::IntegrateOutcomeBounded(
       result.status = core::DegradedStatus(control);
     }
   }
+  // The answer is sized to itself, with no room kept for the survivors
+  // Phase 3 rejected.
+  result.ids.reserve(outcome.accepted.size() + included.size());
+  for (const auto& [point, id] : outcome.accepted) result.ids.push_back(id);
+  result.ids.insert(result.ids.end(), included.begin(), included.end());
   const uint64_t phase3_nanos = phase_timer.Stop();
 
   metrics_.queries->Add(1);

@@ -92,12 +92,12 @@ std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
   // A fresh stream per pool, keyed by the query itself: the pool is a pure
   // function of (seed, query), never of pool-construction order. The
   // variant only selects how the pool turns it into samples; the cell
-  // layout only reorders them for the pruned count.
+  // layout only reorders them for the pruned count. Being a pure function,
+  // it is drawn once and shared through the process-wide pool cache.
   const uint64_t stream_seed =
       options_.seed ^ kPoolStreamSalt ^ QueryFingerprint(query);
-  return std::make_shared<const SamplePool>(query, options_.samples,
-                                            stream_seed, variant,
-                                            PoolLayout::kCells);
+  return PoolCache::Global().Get(query, options_.samples, stream_seed,
+                                 variant, PoolLayout::kCells, &last_pool_);
 }
 
 void MonteCarloEvaluator::DecideBatchBounded(

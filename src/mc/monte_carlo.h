@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "mc/pool_cache.h"
 #include "mc/probability_evaluator.h"
 #include "mc/sample_pool.h"
 #include "rng/random.h"
@@ -54,7 +55,11 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   /// of evaluator seed and query, independent of how many pools were built
   /// before, so per-query Phase-3 results are reproducible on a long-lived
   /// evaluator and unaffected by neighboring queries being skipped. The
-  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact.
+  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact,
+  /// and served from PoolCache::Global(): a query whose distribution this
+  /// evaluator's last query or any in-flight query already drew gets that
+  /// pool, not a copy. The evaluator keeps its last pool until it asks for
+  /// another distribution or is destroyed.
   std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query) override;
 
@@ -90,6 +95,7 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   Options options_;
   rng::Random random_;
   la::Vector scratch_;
+  PoolSlot last_pool_;  // the pool of the last MakeSamplePool call
 };
 
 }  // namespace gprq::mc

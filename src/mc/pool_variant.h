@@ -36,9 +36,10 @@ enum class PoolVariant : uint8_t {
 /// which the sequential Wilson test (SamplePool::Decide, the adaptive
 /// evaluator) relies on.
 ///
-/// kCells sorts the points into the cells of a grid over the query's two
-/// widest axes, so an exact fixed-budget count visits only the cells a
-/// candidate's δ-ball can reach (SamplePool::DecideExact).
+/// kCells sorts the points into the cells of a grid on the plane of Σ's
+/// top two eigenvectors (and, for d ≥ 3, on the norm off that plane), so
+/// an exact fixed-budget count visits only the cells a candidate's δ-ball
+/// can reach (SamplePool::DecideExact).
 enum class PoolLayout : uint8_t {
   kDrawOrder = 0,
   kCells = 1,

@@ -56,43 +56,38 @@ struct McMetrics {
   }
 };
 
-// The cell grid of a PoolLayout::kCells pool: at most kMaxGridSide cells
-// per axis, about kSamplesPerCell samples per cell on average, spanning
-// ±kGridSigmas standard deviations around the mean (outer cells are
-// open-ended).
+// The cell grid of a PoolLayout::kCells pool: about kSamplesPerCell
+// samples per cell on average, at most kMaxGridSide cells per plane axis,
+// spanning ±kGridSigmas standard deviations of the plane coordinate around
+// the mean (outer cells are open-ended), and for d ≥ 3 kRhoSlabs slabs of
+// the off-plane norm ρ, split at quantiles of the first kRhoProbe draws.
 constexpr size_t kMaxGridSide = 32;
 constexpr uint64_t kSamplesPerCell = 16;
 constexpr double kGridSigmas = 4.0;
+constexpr size_t kRhoSlabs = 8;
+constexpr uint64_t kRhoProbe = 1024;
 
-// DecideExact skips a cell only when its box lies farther than the reach
-// radius max(δ·(1 + kReachMargin), kReachFloor) from the object. Rounding
-// is monotone, so the box gap computed here never exceeds the kernel's own
-// rounded squared distance of a sample in the box. The margin and the
-// floor keep that true even where this arithmetic is contracted or
-// reordered unlike the kernel's; the floor keeps reach² a normal number,
-// where a relative margin still bounds the rounding (DESIGN.md §5b).
+// DecideExact skips a cell only when its lower bound on the distance to
+// the object exceeds the reach radius max(δ·(1 + kReachMargin),
+// kReachFloor). The bound is computed with slack for the projection's
+// rounding (SamplePool::slack_); the relative margin covers the kernel's
+// own rounding of ‖x − o‖² and of the bound's last few operations, and the
+// floor keeps reach² a normal number, where a relative margin still bounds
+// the rounding (DESIGN.md §5b).
 constexpr double kReachMargin = 1e-7;
 constexpr double kReachFloor = 1e-150;
 
-size_t GridSide(uint64_t samples) {
-  const auto side = static_cast<size_t>(
-      std::sqrt(static_cast<double>(samples / kSamplesPerCell)));
-  return std::clamp<size_t>(side, 1, kMaxGridSide);
-}
-
-// One grid axis anchored on the query: `cells` equal cells over
-// mean ± kGridSigmas·σ, the outer two unbounded.
+// One plane axis of the grid, in coordinates relative to the mean: `cells`
+// equal cells over ±kGridSigmas·σ, the outer two unbounded.
 struct GridAxis {
   double lo;
   double inv_width;
   size_t cells;
 
-  GridAxis(const core::GaussianDistribution& query, size_t axis, size_t n)
-      : cells(n) {
-    const double sigma = std::sqrt(query.covariance()(axis, axis));
-    lo = query.mean()[axis] - kGridSigmas * sigma;
-    inv_width = static_cast<double>(n) / (2.0 * kGridSigmas * sigma);
-  }
+  GridAxis(double sigma, size_t n)
+      : lo(-kGridSigmas * sigma),
+        inv_width(static_cast<double>(n) / (2.0 * kGridSigmas * sigma)),
+        cells(n) {}
 
   // Branch-free clamp to [0, cells − 1]; a NaN from a degenerate width
   // lands in cell 0.
@@ -105,13 +100,11 @@ struct GridAxis {
   }
 };
 
-// Squared distance from (o0, o1) to a cell box; 0 inside it or on an
-// unbounded side.
-double GapSq(double lo0, double hi0, double lo1, double hi1, double o0,
-             double o1) {
-  const double dx = std::max({lo0 - o0, o0 - hi0, 0.0});
-  const double dy = std::max({lo1 - o1, o1 - hi1, 0.0});
-  return dx * dx + dy * dy;
+// Distance from x to [lo, hi] less the slack, floored at 0; 0 inside the
+// interval or on an unbounded side.
+double Gap(double lo, double hi, double x, double slack) {
+  const double g = std::max({lo - x, x - hi, 0.0}) - slack;
+  return (g > 0.0) ? g : 0.0;
 }
 
 // splitmix64 finalizer, the mixing step behind QueryFingerprint.
@@ -232,42 +225,105 @@ SamplePool::SamplePool(const core::GaussianDistribution& query,
 }
 
 void SamplePool::ArrangeInCells(const core::GaussianDistribution& query) {
-  // Anchor the grid on what is known before drawing: the mean and the two
-  // largest variances (ties keep the lower axis). No pass over the samples
-  // is needed to place it; the actual cell boxes below make it exact.
-  const la::Matrix& cov = query.covariance();
-  axis0_ = 0;
-  for (size_t a = 1; a < dim_; ++a) {
-    if (cov(a, a) > cov(axis0_, axis0_)) axis0_ = a;
+  // The grid plane: Σ's top two eigenvectors u and v through the mean (the
+  // paper's OR rotation; eigen_basis() columns ascend in scale). A sample's
+  // plane coordinates spread by the two largest axis scales, and its norm
+  // ρ off the plane by all the others, independently of the plane.
+  const la::Matrix& basis = query.eigen_basis();
+  origin_.assign(query.mean().data(), query.mean().data() + dim_);
+  frame_.assign(2 * dim_, 0.0);
+  for (size_t a = 0; a < dim_; ++a) {
+    frame_[a] = basis(a, dim_ - 1);
+    if (dim_ > 1) frame_[dim_ + a] = basis(a, dim_ - 2);
   }
-  axis1_ = axis0_;
-  if (dim_ > 1) {
-    axis1_ = (axis0_ == 0) ? 1 : 0;
-    for (size_t a = 0; a < dim_; ++a) {
-      if (a != axis0_ && cov(a, a) > cov(axis1_, axis1_)) axis1_ = a;
+  // The rounding allowance of Project (DESIGN.md §5b): eta bounds how far
+  // the computed u and v are from orthonormal, including the rounding of
+  // the dot products that measure it.
+  double uu = 0.0, vv = 0.0, uv = 0.0;
+  for (size_t a = 0; a < dim_; ++a) {
+    uu += frame_[a] * frame_[a];
+    vv += frame_[dim_ + a] * frame_[dim_ + a];
+    uv += frame_[a] * frame_[dim_ + a];
+  }
+  const double unit = std::numeric_limits<double>::epsilon() / 2.0;
+  const double d = static_cast<double>(dim_);
+  double eta = std::max(std::abs(uu - 1.0), std::abs(uv));
+  if (dim_ > 1) eta = std::max(eta, std::abs(vv - 1.0));
+  eta += 4.0 * (d + 2.0) * unit;
+  slack_ = 4.0 * eta + 16.0 * (d + 6.0) * unit;
+  rho_slack_ = std::sqrt(slack_);
+  contraction_ = 1.0 / (1.0 + 4.0 * eta);
+
+  // Placed from Σ alone; the actual cell boxes below make it exact.
+  const bool residual = dim_ >= 3;
+  grid_slabs_ = residual ? kRhoSlabs : 1;
+  const auto side = static_cast<size_t>(std::sqrt(static_cast<double>(
+      samples_ / (kSamplesPerCell * grid_slabs_))));
+  grid_cols_ = std::clamp<size_t>(side, 1, kMaxGridSide);
+  grid_rows_ = (dim_ > 1) ? grid_cols_ : 1;
+  const la::Vector& scales = query.axis_scales();
+  const GridAxis cols(scales[dim_ - 1], grid_cols_);
+  const GridAxis rows((dim_ > 1) ? scales[dim_ - 2] : 1.0, grid_rows_);
+  const size_t cells = grid_cols_ * grid_rows_ * grid_slabs_;
+
+  // Projection buffers for one kernel block of samples.
+  std::vector<double> buffers(4 * kKernelBlock);
+  double* p0 = buffers.data();
+  double* p1 = p0 + kKernelBlock;
+  double* rho_sq = p1 + kKernelBlock;
+  double* norm_sq = rho_sq + kKernelBlock;
+
+  // ρ² slab edges at quantiles of the first draws, an unbiased subsample
+  // in draw order. They only balance the slabs; +inf pads the unused ones.
+  const double inf = std::numeric_limits<double>::infinity();
+  double edges[kRhoSlabs - 1];
+  std::fill(edges, edges + kRhoSlabs - 1, inf);
+  if (residual) {
+    const auto probe = static_cast<size_t>(std::min(samples_, kRhoProbe));
+    Project(data_.data(), samples_, probe, p0, p1, rho_sq, norm_sq);
+    std::sort(rho_sq, rho_sq + probe);
+    for (size_t k = 1; k < grid_slabs_; ++k) {
+      edges[k - 1] = rho_sq[k * probe / grid_slabs_];
     }
   }
-  const size_t side = GridSide(samples_);
-  grid_cols_ = side;
-  grid_rows_ = (dim_ > 1) ? side : 1;
-  const GridAxis cols(query, axis0_, grid_cols_);
-  const GridAxis rows(query, axis1_, grid_rows_);
-  const size_t cells = grid_cols_ * grid_rows_;
 
-  // Each sample's cell and the cell sizes, then each sample's destination:
-  // the next free position of its cell.
+  // Each sample's cell, the cell sizes and the cells' actual bounds (ρ²
+  // for now), then each sample's destination: the next free position of
+  // its cell.
+  const Interval empty{inf, -inf};
+  const auto widen = [](Interval& bounds, double x) {
+    bounds.lo = std::min(bounds.lo, x);
+    bounds.hi = std::max(bounds.hi, x);
+  };
   assert(samples_ <= std::numeric_limits<uint32_t>::max());
   std::vector<uint32_t> slot(samples_);
   cell_begin_.assign(cells + 1, 0);
-  {
-    const double* x0 = axis(axis0_);
-    const double* x1 = axis(axis1_);
-    for (uint64_t i = 0; i < samples_; ++i) {
-      const size_t c = cols.Index(x0[i]) * grid_rows_ + rows.Index(x1[i]);
-      slot[i] = static_cast<uint32_t>(c);
-      ++cell_begin_[c + 1];
+  std::vector<Box> boxes(cells, Box{empty, empty, empty});
+  double max_norm_sq = 0.0;
+  for (uint64_t b = 0; b < samples_; b += kKernelBlock) {
+    const auto len = static_cast<size_t>(std::min(kKernelBlock, samples_ - b));
+    Project(data_.data() + b, samples_, len, p0, p1, rho_sq, norm_sq);
+    uint32_t* cell = slot.data() + b;
+    for (size_t i = 0; i < len; ++i) {
+      cell[i] = static_cast<uint32_t>(
+          (cols.Index(p0[i]) * grid_rows_ + rows.Index(p1[i])) * grid_slabs_);
+      max_norm_sq = std::max(max_norm_sq, norm_sq[i]);
+    }
+    if (residual) {
+      for (size_t i = 0; i < len; ++i) {
+        uint32_t k = 0;
+        for (const double edge : edges) k += (rho_sq[i] > edge) ? 1 : 0;
+        cell[i] += k;
+        widen(boxes[cell[i]].rho, rho_sq[i]);
+      }
+    }
+    for (size_t i = 0; i < len; ++i) {
+      ++cell_begin_[cell[i] + 1];
+      widen(boxes[cell[i]].p0, p0[i]);
+      widen(boxes[cell[i]].p1, p1[i]);
     }
   }
+  max_norm_ = std::sqrt(max_norm_sq);
   for (size_t c = 0; c < cells; ++c) cell_begin_[c + 1] += cell_begin_[c];
   std::vector<uint64_t> cursor(cell_begin_.begin(), cell_begin_.end() - 1);
   for (uint64_t i = 0; i < samples_; ++i) {
@@ -281,30 +337,83 @@ void SamplePool::ArrangeInCells(const core::GaussianDistribution& query) {
     std::copy(scratch.get(), scratch.get() + samples_, x);
   }
 
-  // Each cell's actual bounding box on the two grid axes (lo > hi when
-  // empty), and each column's union of them. On one axis the rows split
-  // nothing, so the second coordinate must not contribute distance.
-  const double inf = std::numeric_limits<double>::infinity();
-  const double* x0 = axis(axis0_);
-  const double* x1 = axis(axis1_);
-  cells_.assign(cells, CellBox{inf, -inf, inf, -inf});
-  columns_.assign(grid_cols_, CellBox{inf, -inf, inf, -inf});
-  for (size_t c = 0; c < cells; ++c) {
-    CellBox& box = cells_[c];
-    for (uint64_t i = cell_begin_[c]; i < cell_begin_[c + 1]; ++i) {
-      box.lo0 = std::min(box.lo0, x0[i]);
-      box.hi0 = std::max(box.hi0, x0[i]);
-      box.lo1 = std::min(box.lo1, x1[i]);
-      box.hi1 = std::max(box.hi1, x1[i]);
+  // The bounds DecideExact reads. Coordinates the grid does not split
+  // must not contribute distance: p1 on one axis, ρ below three. Rows and
+  // slabs are cut by monotone functions of p1 and ρ, so along a column
+  // their bounds are ordered; filling the empty ones keeps them so.
+  columns_.assign(grid_cols_, Box{empty, empty, empty});
+  rows_.assign(grid_cols_ * grid_rows_, empty);
+  slabs_.assign(cells, empty);
+  for (size_t c = 0; c < grid_cols_; ++c) {
+    double row_floor = -inf;
+    for (size_t r = 0; r < grid_rows_; ++r) {
+      const size_t plane_cell = c * grid_rows_ + r;
+      Interval& row = rows_[plane_cell];
+      double slab_floor = -inf;
+      for (size_t k = 0; k < grid_slabs_; ++k) {
+        const Box& box = boxes[plane_cell * grid_slabs_ + k];
+        Interval& slab = slabs_[plane_cell * grid_slabs_ + k];
+        if (box.p0.lo > box.p0.hi) {
+          slab = {slab_floor, slab_floor};
+          continue;
+        }
+        // sqrt is monotone and correctly rounded: these are the bounds of
+        // the samples' own ρ = sqrt(ρ²).
+        slab = residual ? Interval{std::sqrt(box.rho.lo), std::sqrt(box.rho.hi)}
+                        : kUnbounded;
+        slab_floor = slab.hi;
+        widen(row, box.p1.lo);
+        widen(row, box.p1.hi);
+        Box& column = columns_[c];
+        widen(column.p0, box.p0.lo);
+        widen(column.p0, box.p0.hi);
+        widen(column.p1, box.p1.lo);
+        widen(column.p1, box.p1.hi);
+        widen(column.rho, slab.lo);
+        widen(column.rho, slab.hi);
+      }
+      if (row.lo > row.hi) {
+        row = {row_floor, row_floor};
+      } else {
+        if (dim_ == 1) row = kUnbounded;
+        row_floor = row.hi;
+      }
     }
-    if (dim_ == 1) box.lo1 = -inf, box.hi1 = inf;
-    CellBox& column = columns_[c / grid_rows_];
-    column.lo0 = std::min(column.lo0, box.lo0);
-    column.hi0 = std::max(column.hi0, box.hi0);
-    column.lo1 = std::min(column.lo1, box.lo1);
-    column.hi1 = std::max(column.hi1, box.hi1);
+    if (dim_ == 1 && columns_[c].p0.lo <= columns_[c].p0.hi) {
+      columns_[c].p1 = kUnbounded;
+    }
   }
   layout_ = PoolLayout::kCells;
+}
+
+void SamplePool::Project(const double* x, uint64_t stride, size_t len,
+                         double* __restrict p0, double* __restrict p1,
+                         double* __restrict rho_sq,
+                         double* __restrict norm_sq) const {
+  const double* u = frame_.data();
+  const double* v = u + dim_;
+  std::fill(p0, p0 + len, 0.0);
+  std::fill(p1, p1 + len, 0.0);
+  std::fill(norm_sq, norm_sq + len, 0.0);
+  for (size_t a = 0; a < dim_; ++a) {
+    const double* __restrict xa = x + a * stride;
+    const double q = origin_[a];
+    const double ua = u[a];
+    const double va = v[a];
+    for (size_t i = 0; i < len; ++i) {
+      const double w = xa[i] - q;
+      p0[i] += ua * w;
+      p1[i] += va * w;
+      norm_sq[i] += w * w;
+    }
+  }
+  // The residual by difference: it cancels, but its error stays within
+  // rho_slack_·‖w‖ (DESIGN.md §5b), and it costs no second pass.
+  if (dim_ < 3) return;
+  for (size_t i = 0; i < len; ++i) {
+    const double r = norm_sq[i] - p0[i] * p0[i] - p1[i] * p1[i];
+    rho_sq[i] = (r > 0.0) ? r : 0.0;
+  }
 }
 
 uint64_t SamplePool::CountWithin(const la::Vector& object, double delta_sq,
@@ -413,41 +522,76 @@ SamplePool::ExactDecision SamplePool::DecideExact(const la::Vector& object,
   const double reach =
       std::max(std::sqrt(delta_sq) * (1.0 + kReachMargin), kReachFloor);
   const double reach_sq = reach * reach;
-  const double o0 = object[axis0_];
-  const double o1 = object[axis1_];
 
-  // The reachable samples: per column, the contiguous run of cells from
-  // the first to the last cell whose box the δ-ball reaches (the column's
-  // chord of the disk). Every sample outside these runs fails the kernel's
-  // ≤ δ² test, so skipping it leaves the hit count unchanged.
-  uint64_t span_begin[kMaxGridSide];
-  uint64_t span_end[kMaxGridSide];
+  // The candidate in the grid's frame, through the samples' own
+  // arithmetic, and the absolute slack that arithmetic can be off by on
+  // either side (DESIGN.md §5b). A draw-order pool has no frame.
+  double o0 = 0.0, o1 = 0.0, orho = 0.0, onorm = 0.0;
+  if (layout_ == PoolLayout::kCells) {
+    Project(object.data(), 1, 1, &o0, &o1, &orho, &onorm);
+    orho = std::sqrt(orho);
+    onorm = std::sqrt(onorm);
+  }
+  const double slack = slack_ * (max_norm_ + onorm);
+  const double rho_slack = rho_slack_ * (max_norm_ + onorm);
+
+  // The reachable samples. A sample x in a column, row and slab with gaps
+  // g0, g1 and gρ to the candidate (less the slack) has ‖x − o‖² ≥
+  // (g0² + g1²)·contraction_ + gρ²: projection onto the plane contracts,
+  // and ‖R(x − o)‖ ≥ |ρ(x) − ρ(o)| off it. Cells where that bound exceeds
+  // reach² hold only samples that fail the kernel's ≤ δ² test, so skipping
+  // them leaves the hit count unchanged. Per column, with its own g0, the
+  // rows whose g1 fits the rest of reach² are one ordered run, and per row
+  // so are the slabs whose gρ fits what is left, so each row adds at most
+  // one run of cells. The square roots round by a few ulps of reach,
+  // inside kReachMargin.
+  uint64_t span_begin[kMaxGridSide * kMaxGridSide];
+  uint64_t span_end[kMaxGridSide * kMaxGridSide];
   size_t spans = 0;
   uint64_t remaining = 0;
   for (size_t c = 0; c < grid_cols_; ++c) {
-    const CellBox& column = columns_[c];
-    if (column.lo0 > column.hi0 ||
-        GapSq(column.lo0, column.hi0, column.lo1, column.hi1, o0, o1) >
-            reach_sq) {
-      continue;
-    }
-    const size_t base = c * grid_rows_;
-    size_t first = grid_rows_;
-    size_t last = 0;
-    for (size_t r = 0; r < grid_rows_; ++r) {
-      const CellBox& box = cells_[base + r];
-      if (box.lo0 > box.hi0 ||
-          GapSq(box.lo0, box.hi0, box.lo1, box.hi1, o0, o1) > reach_sq) {
-        continue;
+    const Box& column = columns_[c];
+    if (column.p0.lo > column.p0.hi) continue;  // empty
+    const double g0 = Gap(column.p0.lo, column.p0.hi, o0, slack);
+    const double g1 = Gap(column.p1.lo, column.p1.hi, o1, slack);
+    const double gr = Gap(column.rho.lo, column.rho.hi, orho, rho_slack);
+    if ((g0 * g0 + g1 * g1) * contraction_ + gr * gr > reach_sq) continue;
+    const double reach1 =
+        std::sqrt(std::max(reach_sq / contraction_ - g0 * g0, 0.0));
+    const Interval* row = &rows_[c * grid_rows_];
+    size_t r = 0;
+    while (r < grid_rows_ && row[r].hi < o1 - slack - reach1) ++r;
+    for (; r < grid_rows_ && row[r].lo <= o1 + slack + reach1; ++r) {
+      const size_t base = (c * grid_rows_ + r) * grid_slabs_;
+      size_t first = 0;
+      size_t last = grid_slabs_;
+      if (grid_slabs_ > 1) {
+        const double gp = Gap(row[r].lo, row[r].hi, o1, slack);
+        const double reach_rho = std::sqrt(std::max(
+            reach_sq - (g0 * g0 + gp * gp) * contraction_, 0.0));
+        const Interval* slab = &slabs_[base];
+        while (first < grid_slabs_ &&
+               slab[first].hi < orho - rho_slack - reach_rho) {
+          ++first;
+        }
+        last = first;
+        while (last < grid_slabs_ &&
+               slab[last].lo <= orho + rho_slack + reach_rho) {
+          ++last;
+        }
       }
-      if (first == grid_rows_) first = r;
-      last = r;
+      const uint64_t begin = cell_begin_[base + first];
+      const uint64_t end = cell_begin_[base + last];
+      if (begin == end) continue;
+      if (spans > 0 && span_end[spans - 1] == begin) {
+        span_end[spans - 1] = end;
+      } else {
+        span_begin[spans] = begin;
+        span_end[spans] = end;
+        ++spans;
+      }
+      remaining += end - begin;
     }
-    if (first == grid_rows_) continue;
-    span_begin[spans] = cell_begin_[base + first];
-    span_end[spans] = cell_begin_[base + last + 1];
-    remaining += span_end[spans] - span_begin[spans];
-    ++spans;
   }
 
   // Count with exact early exits: the final whole-pool count H satisfies

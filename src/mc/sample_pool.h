@@ -57,8 +57,9 @@ uint64_t CanonicalDoubleBits(double v);
 /// Sample order is PoolLayout's choice. kDrawOrder keeps the draws in the
 /// order the stream produced them: a prefix is an unbiased subsample, which
 /// the sequential Wilson Decide needs. kCells permutes the same draws once
-/// into the cells of a grid over the query's two widest axes, so
-/// DecideExact counts only the cells a candidate's δ-ball can reach.
+/// into the cells of a grid on the plane of Σ's top two eigenvectors,
+/// split further by the norm off that plane when d ≥ 3, so DecideExact
+/// counts only the cells a candidate's δ-ball can reach.
 ///
 /// A pool is immutable after construction, so one pool can be read by any
 /// number of worker threads concurrently (the fan-out unit in
@@ -187,34 +188,64 @@ class SamplePool {
                             double theta, ExactOptions options) const;
 
  private:
-  /// Actual coordinate bounds of one grid cell's samples on the two grid
-  /// axes (lo > hi when empty; ±inf on an axis the grid does not split).
-  struct CellBox {
-    double lo0, hi0, lo1, hi1;
+  /// Actual bounds of a set of samples on one grid coordinate (lo > hi
+  /// when empty; ±inf on a coordinate the grid does not bound).
+  struct Interval {
+    double lo, hi;
   };
-  static constexpr CellBox kUnboundedCell = {
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::infinity()};
+  /// Actual bounds of a set of samples (a cell's, a column's): their two
+  /// plane coordinates and their off-plane norm ρ.
+  struct Box {
+    Interval p0, p1, rho;
+  };
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  static constexpr Interval kUnbounded = {-kInf, kInf};
 
   /// Permutes the draw-order samples into cell order and fills the grid.
   void ArrangeInCells(const core::GaussianDistribution& query);
+
+  /// For `len` points stored dimension-major at `x` (axis a of point i at
+  /// x[a·stride + i]) and w = point − origin_: the plane coordinates
+  /// p0 = u·w and p1 = v·w, ‖w‖², and ρ² = max(‖w‖² − p0² − p1², 0), the
+  /// squared norm off the plane (not written for d < 3, where the grid
+  /// bounds no residual). Samples and candidates go through this one
+  /// arithmetic.
+  void Project(const double* x, uint64_t stride, size_t len, double* p0,
+               double* p1, double* rho_sq, double* norm_sq) const;
 
   size_t dim_;
   uint64_t samples_;
   PoolLayout layout_ = PoolLayout::kDrawOrder;
   std::vector<double> data_;  // dimension-major: axis a at [a·n, a·n + n)
-  // The grid: columns split axis0_, rows split axis1_; cell (c, r) is
-  // c·grid_rows_ + r and holds samples [cell_begin_[i], cell_begin_[i+1]).
-  // A kDrawOrder pool is a single unbounded cell.
-  size_t axis0_ = 0;
-  size_t axis1_ = 0;
+  // The grid (kCells only): the plane spanned by Σ's top two eigenvectors
+  // u and v through the mean, columns splitting p0, rows splitting p1 and,
+  // for d ≥ 3, slabs splitting ρ. Cell i = (c·grid_rows_ + r)·grid_slabs_
+  // + k (column c, row r, slab k) holds samples
+  // [cell_begin_[i], cell_begin_[i+1]). A kDrawOrder pool is a single
+  // unbounded cell.
+  std::vector<double> origin_;  // the query mean
+  std::vector<double> frame_;   // u then v, dim_ entries each
   size_t grid_cols_ = 1;
   size_t grid_rows_ = 1;
+  size_t grid_slabs_ = 1;
+  // Rounding allowance of Project (DESIGN.md §5b): a computed plane
+  // coordinate is within slack_·‖w‖ of the exact projection and a computed
+  // ρ within rho_slack_·‖w‖, and the squared plane gap times contraction_
+  // stays below the exact one.
+  double slack_ = 0.0;
+  double rho_slack_ = 0.0;
+  double contraction_ = 1.0;
+  double max_norm_ = 0.0;  // the largest computed ‖x − mean‖ in the pool
   std::vector<uint64_t> cell_begin_;
-  std::vector<CellBox> cells_{kUnboundedCell};
-  std::vector<CellBox> columns_{kUnboundedCell};  // union of a column's boxes
+  // Per column, the union of its cells; per (column, row), the p1 bounds
+  // of its samples; per cell, the ρ bounds of its samples. An empty row or
+  // cell takes the bounds [h, h] of the one before it (h = −inf for none),
+  // so along a column both bounds never decrease from row to row, nor from
+  // slab to slab within a row (DecideExact scans for its runs on that).
+  std::vector<Box> columns_{Box{kUnbounded, kUnbounded,
+                                            kUnbounded}};
+  std::vector<Interval> rows_{kUnbounded};
+  std::vector<Interval> slabs_{kUnbounded};
 };
 
 }  // namespace gprq::mc

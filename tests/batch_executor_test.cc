@@ -132,6 +132,34 @@ TEST(BatchExecutor, SubmitMatchesSequentialExecute) {
   }
 }
 
+TEST(BatchExecutor, AnswersCarryNoCapacityForRejectedSurvivors) {
+  // Phase 3 rejects some survivors; the returned ids must not keep the
+  // capacity reserved for them, on the fan-out or the inline path.
+  auto fixture = Fixture::Make(4000, 3);
+  const core::PrqEngine engine(&fixture.tree);
+  auto executor = BatchExecutor::Create(&engine, ExactFactory(), 2);
+  ASSERT_TRUE(executor.ok());
+  mc::ImhofEvaluator exact;
+  size_t with_rejections = 0;
+  for (size_t q = 0; q < 6; ++q) {
+    const auto query = MakeQuery(fixture, q * 731, 10.0, 25.0, 0.3);
+    core::PrqStats stats;
+    auto submitted =
+        (*executor)->SubmitBounded(query, core::PrqOptions(), &stats);
+    ASSERT_TRUE(submitted.ok());
+    auto inline_result =
+        engine.ExecuteBounded(query, core::PrqOptions(), &exact);
+    ASSERT_TRUE(inline_result.ok());
+    if (stats.accepted_without_integration + stats.integration_candidates >
+        submitted->ids.size()) {
+      ++with_rejections;
+    }
+    EXPECT_EQ(submitted->ids.capacity(), submitted->ids.size()) << q;
+    EXPECT_EQ(inline_result->ids.capacity(), inline_result->ids.size()) << q;
+  }
+  EXPECT_GT(with_rejections, 0u);
+}
+
 TEST(BatchExecutor, SubmitBatchMatchesPerQuerySubmission) {
   auto fixture = Fixture::Make(3000, 4);
   const core::PrqEngine engine(&fixture.tree);

@@ -21,6 +21,7 @@
 #include "mc/monte_carlo.h"
 #include "mc/probability_evaluator.h"
 #include "rng/random.h"
+#include "workload/generators.h"
 
 namespace gprq::mc {
 namespace {
@@ -505,6 +506,278 @@ TEST(ExactCount, BoundarySamplesAndDegenerateRadii) {
     // δ = 0 away from every sample: no hits.
     ExpectExactAgreement(pair, pair.query.mean(), 0.0);
   }
+}
+
+// ---- The eigenframe grid: plane cells plus ρ slabs. -----------------------
+
+/// The grid's frame as the test sees it: Σ's top two eigenvectors u, v and
+/// a unit vector orthogonal to both (Σ's bottom eigenvector, d ≥ 3).
+struct Frame {
+  la::Vector u, v, off;
+
+  explicit Frame(const core::GaussianDistribution& g)
+      : u(g.dim()), v(g.dim()), off(g.dim()) {
+    const size_t d = g.dim();
+    const la::Matrix& e = g.eigen_basis();
+    for (size_t a = 0; a < d; ++a) {
+      u[a] = e(a, d - 1);
+      v[a] = e(a, d - 2);
+      off[a] = e(a, 0);
+    }
+  }
+
+  /// ρ(x) = ‖x − q‖² − (u·(x − q))² − (v·(x − q))², square-rooted.
+  double Rho(const la::Vector& x, const la::Vector& q) const {
+    double p0 = 0.0, p1 = 0.0, n = 0.0;
+    for (size_t a = 0; a < x.dim(); ++a) {
+      const double w = x[a] - q[a];
+      p0 += u[a] * w;
+      p1 += v[a] * w;
+      n += w * w;
+    }
+    return std::sqrt(std::max(n - p0 * p0 - p1 * p1, 0.0));
+  }
+};
+
+std::vector<std::pair<const char*, la::Matrix>> EigenframeShapes(size_t d) {
+  std::vector<std::pair<const char*, la::Matrix>> shapes;
+  std::vector<double> oblique(d), singular(d), plane_tie(d);
+  for (size_t i = 0; i < d; ++i) {
+    oblique[i] = 0.2 + 3.0 * static_cast<double>(i * i);
+    singular[i] = (i + 2 < d) ? 1e-12 : 4.0 + static_cast<double>(i);
+    plane_tie[i] = (i + 2 < d) ? 0.5 : 3.0;  // the top two eigenvalues tie
+  }
+  shapes.emplace_back("oblique", RotatedCovariance(oblique, 500 + d));
+  shapes.emplace_back("near-singular", RotatedCovariance(singular, 510 + d));
+  shapes.emplace_back("isotropic",
+                      la::Matrix::Identity(d) * 2.5);  // equal eigenvalues
+  shapes.emplace_back("plane-tie", RotatedCovariance(plane_tie, 520 + d));
+  return shapes;
+}
+
+TEST(ExactCount, EigenframeGridMatchesBruteForce) {
+  size_t checked = 0;
+  for (const size_t d : {size_t{2}, size_t{3}, size_t{9}}) {
+    for (auto& [shape, cov] : EigenframeShapes(d)) {
+      la::Vector mean(d);
+      for (size_t i = 0; i < d; ++i) mean[i] = 30.0 - 7.0 * i;
+      const PoolPair pair(MakeGaussian(std::move(mean), std::move(cov)),
+                          16384, 700 + d);
+      SCOPED_TRACE(testing::Message() << shape << " d=" << d);
+      const auto& g = pair.query;
+      const Frame frame(g);
+      const double s0 = g.MaxAxisScale();
+      const double s1 = g.axis_scales()[d - 2];
+      // On the grid plane: the mean moved along u and v only (ρ = 0), on
+      // and between the nominal cell lines, out past the ±4σ edge.
+      for (const double a : {-9.0, -4.0, -1.25, 0.0, 0.5, 3.0, 4.0}) {
+        for (const double b : {-4.0, 0.0, 0.25, 2.0}) {
+          la::Vector object = g.mean();
+          for (size_t i = 0; i < d; ++i) {
+            object[i] += a * s0 * frame.u[i] + b * s1 * frame.v[i];
+          }
+          for (const double delta : {0.05 * s0, 0.5 * s0, 2.0 * s0}) {
+            checked += ExpectExactAgreement(pair, object, delta);
+          }
+        }
+      }
+      // Off the plane: the same plane positions pushed along `off`, from
+      // inside the ρ spread to far beyond it.
+      if (d >= 3) {
+        const double spread = std::sqrt(std::max(g.MinAxisScale(), 1e-6));
+        for (const double t : {0.5, 3.0, 40.0}) {
+          for (const double a : {0.0, 1.5}) {
+            la::Vector object = g.mean();
+            for (size_t i = 0; i < d; ++i) {
+              object[i] += a * s0 * frame.u[i] + t * spread * frame.off[i];
+            }
+            for (const double delta : {0.1 * s0, s0, t * spread}) {
+              checked += ExpectExactAgreement(pair, object, delta);
+            }
+          }
+        }
+      }
+      // ρ exactly at a cell's bound: the samples of least and greatest ρ
+      // are their cells' ρ bounds, so as objects their ρ equals them; then
+      // the same sample's ρ moved out by s·σ, with δ = that move on and
+      // just inside. A hair's move (s ≤ 1e-9) is below the rounding of ρ
+      // itself where ρ² = ‖w‖² − p0² − p1² cancels (near-singular Σ).
+      uint64_t least = 0, greatest = 0;
+      std::vector<double> rho(pair.draw.size());
+      for (uint64_t i = 0; i < pair.draw.size(); ++i) {
+        rho[i] = frame.Rho(pair.Sample(i), g.mean());
+        if (rho[i] < rho[least]) least = i;
+        if (rho[i] > rho[greatest]) greatest = i;
+      }
+      for (const uint64_t i : {least, greatest}) {
+        const la::Vector sample = pair.Sample(i);
+        checked += ExpectExactAgreement(pair, sample, 0.0);
+        checked += ExpectExactAgreement(pair, sample, 0.3 * s0);
+        // A few ulps along the plane: the move is at the rounding of the
+        // plane coordinates themselves.
+        for (const double s : {1e-15, 1e-13}) {
+          la::Vector object = sample;
+          for (size_t a = 0; a < d; ++a) object[a] += s * s0 * frame.u[a];
+          const double delta = std::sqrt(la::SquaredDistance(object, sample));
+          checked += ExpectExactAgreement(pair, object, delta);
+          checked +=
+              ExpectExactAgreement(pair, object, std::nextafter(delta, 0.0));
+        }
+        if (d < 3 || rho[i] == 0.0) continue;
+        for (const double s : {1e-11, 1e-9, 0.01, 0.4}) {
+          la::Vector object = sample;
+          // Along the sample's own residual direction (x − q minus its
+          // plane part), so ρ(o) = ρ(x) + s and the plane part is unchanged.
+          la::Vector w = sample - g.mean();
+          double p0 = 0.0, p1 = 0.0;
+          for (size_t a = 0; a < d; ++a) {
+            p0 += frame.u[a] * w[a];
+            p1 += frame.v[a] * w[a];
+          }
+          for (size_t a = 0; a < d; ++a) {
+            const double r = w[a] - p0 * frame.u[a] - p1 * frame.v[a];
+            object[a] += s * s0 * r / rho[i];
+          }
+          const double delta = std::sqrt(la::SquaredDistance(object, sample));
+          checked += ExpectExactAgreement(pair, object, delta);
+          checked +=
+              ExpectExactAgreement(pair, object, std::nextafter(delta, 0.0));
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 3000u);
+}
+
+/// The samples the coordinate-axis grid this pool layout replaced would
+/// examine for one decision, over the same draws: up to 32 × 32 cells
+/// (about 16 samples each) over mean ± 4σ of the two widest coordinate
+/// axes, each with its samples' actual bounding box; per column, one run
+/// from the first to the last cell whose box lies within δ of the
+/// candidate; counted 2048 samples at a time with the same exact early
+/// exits as DecideExact.
+class CoordinateGridSweep {
+ public:
+  CoordinateGridSweep(const SamplePool& draw,
+                      const core::GaussianDistribution& g)
+      : draw_(draw) {
+    const la::Matrix& cov = g.covariance();
+    for (size_t a = 1; a < g.dim(); ++a) {
+      if (cov(a, a) > cov(axis0_, axis0_)) axis0_ = a;
+    }
+    axis1_ = (axis0_ == 0) ? 1 : 0;
+    for (size_t a = 0; a < g.dim(); ++a) {
+      if (a != axis0_ && cov(a, a) > cov(axis1_, axis1_)) axis1_ = a;
+    }
+    side_ = std::clamp<size_t>(
+        static_cast<size_t>(std::sqrt(static_cast<double>(draw.size() / 16))),
+        1, 32);
+    const double inf = std::numeric_limits<double>::infinity();
+    cells_.assign(side_ * side_, Cell{inf, -inf, inf, -inf, {}});
+    const auto index = [&](size_t axis, double x) {
+      const double sigma = std::sqrt(cov(axis, axis));
+      const double t = (x - (g.mean()[axis] - 4.0 * sigma)) *
+                       static_cast<double>(side_) / (8.0 * sigma);
+      return static_cast<size_t>(
+          std::clamp(t, 0.0, static_cast<double>(side_ - 1)));
+    };
+    for (uint64_t i = 0; i < draw.size(); ++i) {
+      const double x0 = draw.axis(axis0_)[i];
+      const double x1 = draw.axis(axis1_)[i];
+      Cell& cell = cells_[index(axis0_, x0) * side_ + index(axis1_, x1)];
+      cell.lo0 = std::min(cell.lo0, x0);
+      cell.hi0 = std::max(cell.hi0, x0);
+      cell.lo1 = std::min(cell.lo1, x1);
+      cell.hi1 = std::max(cell.hi1, x1);
+      cell.samples.push_back(i);
+    }
+  }
+
+  uint64_t Examined(const la::Vector& object, double delta,
+                    double theta) const {
+    std::vector<uint64_t> order;  // the reachable samples, in cell order
+    for (size_t c = 0; c < side_; ++c) {
+      size_t first = side_, last = 0;
+      for (size_t r = 0; r < side_; ++r) {
+        const Cell& cell = cells_[c * side_ + r];
+        const double dx = std::max({cell.lo0 - object[axis0_],
+                                    object[axis0_] - cell.hi0, 0.0});
+        const double dy = std::max({cell.lo1 - object[axis1_],
+                                    object[axis1_] - cell.hi1, 0.0});
+        if (cell.samples.empty() || dx * dx + dy * dy > delta * delta) {
+          continue;
+        }
+        first = std::min(first, r);
+        last = r;
+      }
+      for (size_t r = first; r <= last && first < side_; ++r) {
+        const auto& samples = cells_[c * side_ + r].samples;
+        order.insert(order.end(), samples.begin(), samples.end());
+      }
+    }
+    const double needed = theta * static_cast<double>(draw_.size());
+    uint64_t hits = 0, examined = 0;
+    while (examined < order.size()) {
+      const uint64_t remaining = order.size() - examined;
+      if (static_cast<double>(hits) >= needed ||
+          static_cast<double>(hits + remaining) < needed) {
+        break;
+      }
+      const uint64_t end = examined + std::min<uint64_t>(2048, remaining);
+      for (; examined < end; ++examined) {
+        const uint64_t i = order[examined];
+        hits += draw_.CountWithin(object, delta * delta, i, i + 1);
+      }
+    }
+    return examined;
+  }
+
+ private:
+  struct Cell {
+    double lo0, hi0, lo1, hi1;
+    std::vector<uint64_t> samples;
+  };
+  const SamplePool& draw_;
+  size_t axis0_ = 0;
+  size_t axis1_ = 0;
+  size_t side_ = 1;
+  std::vector<Cell> cells_;
+};
+
+TEST(ExactCount, EigenframeGridHalvesTheSamplesExamined) {
+  // A 9-D Σ at a random orientation with the axis scales of a
+  // relevance-feedback query (0.09–0.6, δ above all of them), the θ grid of
+  // such sessions, and candidates drawn from N(q, 1.5²Σ): Phase-2
+  // survivors of those sessions sit 1.2–3 top-axis σ from the mean in the
+  // plane and 1.4–1.7× the samples' typical ρ off it. The eigenframe grid
+  // must examine at most half the samples the coordinate-axis grid does
+  // over the same draws.
+  constexpr size_t d = 9;
+  const la::Vector scales{0.09, 0.09, 0.09, 0.11, 0.13,
+                          0.21, 0.40, 0.53, 0.60};
+  const PoolPair pair(
+      MakeGaussian(la::Vector(d), workload::RandomRotatedCovariance(scales, 1)),
+      30000, 77);
+  const auto& g = pair.query;
+  const CoordinateGridSweep coordinate_grid(pair.draw, g);
+  rng::Random random(31);
+  const double delta = 0.7;
+  uint64_t examined = 0, coordinate_examined = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    la::Vector object(d);
+    g.Sample(random, object);
+    for (size_t a = 0; a < d; ++a) {
+      object[a] = g.mean()[a] + 1.5 * (object[a] - g.mean()[a]);
+    }
+    for (const double theta : {0.2, 0.3, 0.4, 0.5, 0.6}) {
+      examined += pair.cells.DecideExact(object, delta, theta, {}).examined;
+      coordinate_examined += coordinate_grid.Examined(object, delta, theta);
+    }
+  }
+  EXPECT_GT(coordinate_examined, 0u);
+  EXPECT_LE(2 * examined, coordinate_examined)
+      << "examined " << examined << " vs coordinate grid "
+      << coordinate_examined;
 }
 
 TEST(ExactCount, BudgetAndControlNeverChangeASettledAnswer) {

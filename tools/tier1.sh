@@ -7,7 +7,8 @@
 # regression, the fault/deadline/overload robustness suites, and the
 # result-cache, SIMD-kernel, sharded scatter-gather and paged-vs-engine
 # differential suites, the sample pool's exactness differential with
-# concurrent readers of one pool, the net/ wire-protocol robustness +
+# concurrent readers of one pool, the process-wide pool cache's
+# single-flight builds, the net/ wire-protocol robustness +
 # live-server + end-to-end differential suites, the storage engine's
 # crash-recovery, churn-differential and epoch-snapshot suites, and the
 # remote-coordinator differential/chaos suite with its hostile
@@ -31,7 +32,8 @@ case "${MODE}" in
   *) echo "usage: $0 [all|build|tsan|asan|faultoff]" >&2; exit 2 ;;
 esac
 
-THREADED_TARGETS=(sample_pool_test parallel_test worker_pool_test
+THREADED_TARGETS=(sample_pool_test pool_cache_test parallel_test
+                  worker_pool_test
                   batch_executor_test
                   determinism_test metrics_test trace_test
                   fault_test deadline_test overload_test
