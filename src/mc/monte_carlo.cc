@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "mc/sample_pool.h"
 #include "obs/metrics.h"
@@ -24,6 +25,8 @@ struct FixedBudgetMetrics {
   obs::Counter* samples_examined;
   obs::Counter* interrupted;
   obs::Counter* budget_exhausted;
+  obs::Counter* pool_hits;    // MakeSamplePool served the kept pool
+  obs::Counter* pool_misses;  // MakeSamplePool drew a pool
 
   static const FixedBudgetMetrics& Get() {
     static const FixedBudgetMetrics metrics = [] {
@@ -33,11 +36,35 @@ struct FixedBudgetMetrics {
           r.GetCounter("gprq.mc.samples_used"),
           r.GetCounter("gprq.mc.samples_examined"),
           r.GetCounter("gprq.deadline.interrupted_decisions"),
-          r.GetCounter("gprq.overload.sample_budget_exhausted")};
+          r.GetCounter("gprq.overload.sample_budget_exhausted"),
+          r.GetCounter("gprq.mc.pool_cache.hits"),
+          r.GetCounter("gprq.mc.pool_cache.misses")};
     }();
     return metrics;
   }
 };
+
+// Everything a pool depends on besides the evaluator's own seed and n: the
+// variant and the distribution's canonical bits (-0.0 = +0.0, as in
+// QueryFingerprint). Compared in full, so distinct distributions never
+// share a pool.
+std::vector<uint64_t> PoolKeyBits(const core::GaussianDistribution& query,
+                                  PoolVariant variant) {
+  const size_t d = query.dim();
+  std::vector<uint64_t> key;
+  key.reserve(1 + d + d * d);
+  key.push_back(static_cast<uint64_t>(variant));
+  for (size_t i = 0; i < d; ++i) {
+    key.push_back(CanonicalDoubleBits(query.mean()[i]));
+  }
+  const la::Matrix& cov = query.covariance();
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      key.push_back(CanonicalDoubleBits(cov(i, j)));
+    }
+  }
+  return key;
+}
 
 }  // namespace
 
@@ -93,11 +120,25 @@ std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
   // function of (seed, query), never of pool-construction order. The
   // variant only selects how the pool turns it into samples; the cell
   // layout only reorders them for the pruned count. Being a pure function,
-  // it is drawn once and shared through the process-wide pool cache.
+  // the last one is served again to a query on the same distribution (a
+  // feedback session stepping through θ) instead of being drawn again.
+  const FixedBudgetMetrics& metrics = FixedBudgetMetrics::Get();
+  std::vector<uint64_t> key = PoolKeyBits(query, variant);
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  if (last_pool_ != nullptr && key == pool_key_) {
+    metrics.pool_hits->Add(1);
+    return last_pool_;
+  }
+  // Another distribution: let the kept pool go (unless a query still
+  // holds it) before drawing the next.
+  last_pool_.reset();
+  metrics.pool_misses->Add(1);
   const uint64_t stream_seed =
       options_.seed ^ kPoolStreamSalt ^ QueryFingerprint(query);
-  return PoolCache::Global().Get(query, options_.samples, stream_seed,
-                                 variant, PoolLayout::kCells, &last_pool_);
+  last_pool_ = std::make_shared<const SamplePool>(
+      query, options_.samples, stream_seed, variant, PoolLayout::kCells);
+  pool_key_ = std::move(key);
+  return last_pool_;
 }
 
 void MonteCarloEvaluator::DecideBatchBounded(

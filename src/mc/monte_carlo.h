@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
-#include "mc/pool_cache.h"
 #include "mc/probability_evaluator.h"
 #include "mc/sample_pool.h"
 #include "rng/random.h"
@@ -55,11 +56,13 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   /// of evaluator seed and query, independent of how many pools were built
   /// before, so per-query Phase-3 results are reproducible on a long-lived
   /// evaluator and unaffected by neighboring queries being skipped. The
-  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact,
-  /// and served from PoolCache::Global(): a query whose distribution this
-  /// evaluator's last query or any in-flight query already drew gets that
-  /// pool, not a copy. The evaluator keeps its last pool until it asks for
-  /// another distribution or is destroyed.
+  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact.
+  /// Being a pure function, the last one is kept: a query on the same
+  /// distribution and variant as the previous call gets that pool, not a
+  /// copy (`gprq.mc.pool_cache.{hits,misses}`). A different one releases
+  /// it before it builds; the evaluator keeps one pool until then or until
+  /// it is destroyed. The memo's lock is held across a build, so
+  /// concurrent calls for one distribution build it once.
   std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query) override;
 
@@ -95,7 +98,11 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   Options options_;
   rng::Random random_;
   la::Vector scratch_;
-  PoolSlot last_pool_;  // the pool of the last MakeSamplePool call
+  // The last MakeSamplePool result and its key (variant, then the
+  // canonical bits of mean and covariance); guarded by pool_mutex_.
+  std::mutex pool_mutex_;
+  std::vector<uint64_t> pool_key_;
+  std::shared_ptr<const SamplePool> last_pool_;
 };
 
 }  // namespace gprq::mc

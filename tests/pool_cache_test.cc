@@ -1,24 +1,27 @@
-// Tests for the process-wide sample-pool cache: hits return the very pool
-// object, cached pools equal freshly constructed ones sample for sample,
-// canonically equal distributions share a key while any other difference
-// gets its own pool, concurrent requests build once, and a slot releases
-// its retained pool before a different one is built.
-
-#include "mc/pool_cache.h"
+// Tests for MonteCarloEvaluator's pool memo: a repeat request returns the
+// very pool object, a kept pool equals a freshly drawn one sample for
+// sample, canonically equal distributions share it while any other
+// difference gets its own pool, concurrent requests build once, a
+// different request releases the kept pool, and an executor stepping one
+// distribution through θ draws its pool once with unchanged answers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
+#include "exec/batch_executor.h"
+#include "index/str_bulk_load.h"
 #include "mc/monte_carlo.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "workload/generators.h"
 
 namespace gprq::mc {
 namespace {
@@ -41,27 +44,22 @@ uint64_t Counter(const char* name) {
   return obs::MetricRegistry::Global().GetCounter(name)->Value();
 }
 
-std::shared_ptr<const SamplePool> Get(PoolCache& cache,
-                                      const core::GaussianDistribution& g,
-                                      uint64_t samples = 3000,
-                                      uint64_t seed = 11,
-                                      PoolVariant variant =
-                                          PoolVariant::kPseudoRandom,
-                                      PoolLayout layout = PoolLayout::kCells,
-                                      PoolSlot* slot = nullptr) {
-  return cache.Get(g, samples, seed, variant, layout, slot);
+std::vector<double> Axis(const SamplePool& pool, size_t a) {
+  return std::vector<double>(pool.axis(a), pool.axis(a) + pool.size());
 }
 
-TEST(PoolCache, HitReturnsTheSamePoolObject) {
-  PoolCache cache;
+TEST(PoolMemo, HitReturnsTheSamePoolObject) {
+  MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
   const auto g = Oblique();
   const uint64_t hits = Counter("gprq.mc.pool_cache.hits");
   const uint64_t misses = Counter("gprq.mc.pool_cache.misses");
-  const auto first = Get(cache, g);
-  const auto second = Get(cache, g);
+  const uint64_t builds = Counter("gprq.mc.pool_builds");
+  const auto first = evaluator.MakeSamplePool(g);
+  const auto second = evaluator.MakeSamplePool(g);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(Counter("gprq.mc.pool_cache.misses") - misses, 1u);
   EXPECT_EQ(Counter("gprq.mc.pool_cache.hits") - hits, 1u);
+  EXPECT_EQ(Counter("gprq.mc.pool_builds") - builds, 1u);
   // Both counters reach STATS through the registry export.
   const std::string stats =
       obs::TextExporter::Json(obs::MetricRegistry::Global().Snapshot());
@@ -69,71 +67,69 @@ TEST(PoolCache, HitReturnsTheSamePoolObject) {
   EXPECT_NE(stats.find("gprq.mc.pool_cache.misses"), std::string::npos);
 }
 
-TEST(PoolCache, CachedPoolEqualsAFreshPoolSampleForSample) {
-  PoolCache cache;
+TEST(PoolMemo, KeptPoolEqualsAFreshPoolSampleForSample) {
+  MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
   const auto g = Oblique();
-  for (const PoolLayout layout : {PoolLayout::kDrawOrder, PoolLayout::kCells}) {
-    for (const PoolVariant variant :
-         {PoolVariant::kPseudoRandom, PoolVariant::kHalton}) {
-      const auto cached = Get(cache, g, 3000, 11, variant, layout);
-      const SamplePool fresh(g, 3000, 11, variant, layout);
-      ASSERT_EQ(cached->size(), fresh.size());
-      for (size_t a = 0; a < g.dim(); ++a) {
-        const std::vector<double> x(cached->axis(a),
-                                    cached->axis(a) + cached->size());
-        const std::vector<double> y(fresh.axis(a), fresh.axis(a) + fresh.size());
-        EXPECT_EQ(x, y) << "axis " << a;
-      }
-      const la::Vector object{2.0, -1.0, 0.0};
-      for (const double theta : {0.0, 0.05, 0.2, 1.0}) {
-        EXPECT_EQ(cached->DecideExact(object, 1.5, theta, {}).outcome,
-                  fresh.DecideExact(object, 1.5, theta, {}).outcome);
-      }
+  for (const PoolVariant variant :
+       {PoolVariant::kPseudoRandom, PoolVariant::kHalton}) {
+    (void)evaluator.MakeSamplePool(g, variant);
+    const auto kept = evaluator.MakeSamplePool(g, variant);
+    // A new evaluator with the same options has nothing kept: it draws.
+    MonteCarloEvaluator fresh_evaluator({.samples = 3000, .seed = 11});
+    const auto fresh = fresh_evaluator.MakeSamplePool(g, variant);
+    ASSERT_NE(kept.get(), fresh.get());
+    ASSERT_EQ(kept->size(), fresh->size());
+    for (size_t a = 0; a < g.dim(); ++a) {
+      EXPECT_EQ(Axis(*kept, a), Axis(*fresh, a)) << "axis " << a;
+    }
+    const la::Vector object{2.0, -1.0, 0.0};
+    for (const double theta : {0.0, 0.05, 0.2, 1.0}) {
+      EXPECT_EQ(kept->DecideExact(object, 1.5, theta, {}).outcome,
+                fresh->DecideExact(object, 1.5, theta, {}).outcome);
     }
   }
 }
 
-TEST(PoolCache, NegativeAndPositiveZeroShareAPool) {
-  PoolCache cache;
+TEST(PoolMemo, NegativeAndPositiveZeroShareAPool) {
+  MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
   const la::Matrix cov{{2.0, 0.0}, {0.0, 1.0}};
   const la::Matrix negative_cov{{2.0, -0.0}, {-0.0, 1.0}};
-  const auto positive = Get(cache, MakeGaussian(la::Vector{0.0, 3.0}, cov));
-  const auto negative =
-      Get(cache, MakeGaussian(la::Vector{-0.0, 3.0}, negative_cov));
+  const auto positive =
+      evaluator.MakeSamplePool(MakeGaussian(la::Vector{0.0, 3.0}, cov));
+  const auto negative = evaluator.MakeSamplePool(
+      MakeGaussian(la::Vector{-0.0, 3.0}, negative_cov));
   EXPECT_EQ(positive.get(), negative.get());
 }
 
-TEST(PoolCache, AnyOtherKeyPartGetsItsOwnPool) {
-  PoolCache cache;
+TEST(PoolMemo, AnyOtherKeyPartGetsItsOwnPool) {
+  MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
   const auto g = Oblique();
-  const auto base = Get(cache, g);
+  const auto base = evaluator.MakeSamplePool(g);
   la::Matrix bumped = g.covariance();
   bumped(0, 0) = std::nextafter(bumped(0, 0), 10.0);  // one covariance bit
-  const auto other_cov = Get(cache, MakeGaussian(g.mean(), bumped));
-  const auto other_mean = Get(cache, Oblique(1e-12));
-  const auto other_seed = Get(cache, g, 3000, 12);
-  const auto other_n = Get(cache, g, 3001);
-  const auto other_variant = Get(cache, g, 3000, 11, PoolVariant::kHalton);
-  const auto other_layout =
-      Get(cache, g, 3000, 11, PoolVariant::kPseudoRandom,
-          PoolLayout::kDrawOrder);
-  const std::vector<const SamplePool*> pools = {
-      base.get(),       other_cov.get(),     other_mean.get(),
-      other_seed.get(), other_n.get(),       other_variant.get(),
-      other_layout.get()};
-  for (size_t i = 0; i < pools.size(); ++i) {
-    for (size_t j = i + 1; j < pools.size(); ++j) {
-      EXPECT_NE(pools[i], pools[j]) << i << " vs " << j;
-    }
+  const uint64_t builds = Counter("gprq.mc.pool_builds");
+  const auto other_cov =
+      evaluator.MakeSamplePool(MakeGaussian(g.mean(), bumped));
+  const auto other_mean = evaluator.MakeSamplePool(Oblique(1e-12));
+  const auto other_variant = evaluator.MakeSamplePool(g, PoolVariant::kHalton);
+  // Only the last request is kept, so the base distribution draws again,
+  // into the same samples.
+  const auto again = evaluator.MakeSamplePool(g);
+  EXPECT_EQ(Counter("gprq.mc.pool_builds") - builds, 4u);
+  EXPECT_NE(again.get(), base.get());
+  EXPECT_EQ(Axis(*again, 0), Axis(*base, 0));
+  for (const auto& other : {other_cov, other_mean, other_variant}) {
+    EXPECT_NE(Axis(*other, 0), Axis(*base, 0));
   }
-  // Every one of them is still held, so each is still served.
-  EXPECT_EQ(Get(cache, g).get(), base.get());
-  EXPECT_EQ(Get(cache, g, 3000, 12).get(), other_seed.get());
+  // Seed and n belong to the evaluator: another one draws other samples.
+  MonteCarloEvaluator other_seed({.samples = 3000, .seed = 12});
+  MonteCarloEvaluator other_n({.samples = 3001, .seed = 11});
+  EXPECT_NE(Axis(*other_seed.MakeSamplePool(g), 0), Axis(*base, 0));
+  EXPECT_EQ(other_n.MakeSamplePool(g)->size(), 3001u);
 }
 
-TEST(PoolCache, ConcurrentRequestsBuildOnce) {
-  PoolCache cache;
-  PoolSlot shared_slot;  // one evaluator with several submitters
+TEST(PoolMemo, ConcurrentRequestsBuildOnce) {
+  MonteCarloEvaluator evaluator({.samples = 20000, .seed = 11});
   const auto g = Oblique();
   const uint64_t builds = Counter("gprq.mc.pool_builds");
   constexpr int kThreads = 8;
@@ -144,8 +140,7 @@ TEST(PoolCache, ConcurrentRequestsBuildOnce) {
     threads.emplace_back([&, t] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      pools[t] = Get(cache, g, 20000, 11, PoolVariant::kPseudoRandom,
-                     PoolLayout::kCells, (t % 2 == 0) ? &shared_slot : nullptr);
+      pools[t] = evaluator.MakeSamplePool(g);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -156,88 +151,67 @@ TEST(PoolCache, ConcurrentRequestsBuildOnce) {
   }
 }
 
-TEST(PoolCache, SlotReleasesItsPoolBeforeADifferentBuild) {
-  PoolCache cache;
-  PoolSlot slot;
-  const auto g = Oblique();
-  std::weak_ptr<const SamplePool> first =
-      Get(cache, g, 3000, 11, PoolVariant::kPseudoRandom, PoolLayout::kCells,
-          &slot);
-  // No query holds it now; only the slot does, and serves it again.
-  ASSERT_FALSE(first.expired());
-  EXPECT_EQ(Get(cache, g, 3000, 11, PoolVariant::kPseudoRandom,
-                PoolLayout::kCells, &slot)
-                .get(),
-            first.lock().get());
-
-  const PoolKey other(Oblique(1.0), 3000, 11, PoolVariant::kPseudoRandom,
-                      PoolLayout::kCells);
-  bool released_before_build = false;
-  const auto second = cache.GetOrBuild(
-      other,
-      [&] {
-        released_before_build = first.expired();
-        return std::make_shared<const SamplePool>(Oblique(1.0), 3000, 11,
-                                                  PoolVariant::kPseudoRandom,
-                                                  PoolLayout::kCells);
-      },
-      &slot);
-  EXPECT_TRUE(released_before_build);
-
-  // A pool a query still holds outlives the slot's release and is served.
-  const auto third = Get(cache, Oblique(2.0), 3000, 11,
-                         PoolVariant::kPseudoRandom, PoolLayout::kCells,
-                         &slot);
-  EXPECT_NE(third.get(), second.get());
-  EXPECT_EQ(Get(cache, Oblique(1.0)).get(), second.get());
-}
-
-TEST(PoolCache, RetainsNothingItselfAndSlotPoolsDieWithTheSlot) {
-  PoolCache cache;
-  const auto g = Oblique();
-  const std::weak_ptr<const SamplePool> unheld = Get(cache, g);
-  EXPECT_TRUE(unheld.expired());
-  std::weak_ptr<const SamplePool> slotted;
+TEST(PoolMemo, ADifferentRequestReleasesTheKeptPool) {
+  std::weak_ptr<const SamplePool> last;
+  std::shared_ptr<const SamplePool> held;
   {
-    PoolSlot slot;
-    slotted = Get(cache, g, 3000, 11, PoolVariant::kPseudoRandom,
-                  PoolLayout::kCells, &slot);
-    EXPECT_FALSE(slotted.expired());
+    MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
+    const std::weak_ptr<const SamplePool> first =
+        evaluator.MakeSamplePool(Oblique());
+    // No query holds it now; only the evaluator does, and serves it again.
+    ASSERT_FALSE(first.expired());
+    EXPECT_EQ(evaluator.MakeSamplePool(Oblique()).get(), first.lock().get());
+    held = evaluator.MakeSamplePool(Oblique(1.0));
+    EXPECT_TRUE(first.expired());
+    // A pool a query still holds outlives the release.
+    last = evaluator.MakeSamplePool(Oblique(2.0));
+    EXPECT_NE(last.lock().get(), held.get());
+    EXPECT_EQ(held->size(), 3000u);
   }
-  EXPECT_TRUE(slotted.expired());
+  // The evaluator's kept pool goes with it; the query's stays.
+  EXPECT_TRUE(last.expired());
+  EXPECT_EQ(held.use_count(), 1);
 }
 
-TEST(PoolCache, FailedBuildLeavesTheKeyBuildable) {
-  PoolCache cache;
-  const auto g = Oblique();
-  const PoolKey key(g, 3000, 11, PoolVariant::kPseudoRandom,
-                    PoolLayout::kCells);
-  EXPECT_THROW(cache.GetOrBuild(key,
-                                []() -> std::shared_ptr<const SamplePool> {
-                                  throw std::runtime_error("no memory");
-                                }),
-               std::runtime_error);
-  EXPECT_NE(Get(cache, g), nullptr);
-}
-
-TEST(PoolCache, MonteCarloEvaluatorsShareThroughTheGlobalCache) {
-  const auto g = Oblique();
-  MonteCarloEvaluator c({.samples = 4000, .seed = 6});
-  std::weak_ptr<const SamplePool> kept;
-  {
-    MonteCarloEvaluator a({.samples = 4000, .seed = 5});
-    MonteCarloEvaluator b({.samples = 4000, .seed = 5});
-    const uint64_t builds = Counter("gprq.mc.pool_builds");
-    kept = a.MakeSamplePool(g);
-    // a keeps its last pool; b finds it, c (another seed) does not.
-    EXPECT_EQ(b.MakeSamplePool(g).get(), kept.lock().get());
-    EXPECT_NE(c.MakeSamplePool(g).get(), kept.lock().get());
-    EXPECT_EQ(a.MakeSamplePool(g).get(), kept.lock().get());
-    EXPECT_EQ(Counter("gprq.mc.pool_builds") - builds, 2u);
-    EXPECT_EQ(kept.lock()->layout(), PoolLayout::kCells);
+TEST(PoolMemo, ExecutorSteppingThroughThetaDrawsOncePerDistribution) {
+  const geom::Rect extent(la::Vector{0.0, 0.0}, la::Vector{1000.0, 1000.0});
+  const auto dataset = workload::GenerateClustered(3000, extent, 14, 35.0, 7);
+  auto tree = index::StrBulkLoader::Load(2, dataset.points);
+  ASSERT_TRUE(tree.ok());
+  const core::PrqEngine engine(&*tree);
+  const auto factory = [](size_t w) -> std::unique_ptr<ProbabilityEvaluator> {
+    return std::make_unique<MonteCarloEvaluator>(
+        MonteCarloOptions{.samples = 4000, .seed = 100 + w});
+  };
+  auto stepping = exec::BatchExecutor::Create(&engine, factory, 2);
+  ASSERT_TRUE(stepping.ok());
+  auto g = core::GaussianDistribution::Create(
+      dataset.points[123], workload::PaperCovariance2D(10.0));
+  ASSERT_TRUE(g.ok());
+  const uint64_t builds = Counter("gprq.mc.pool_builds");
+  const uint64_t hits = Counter("gprq.mc.pool_cache.hits");
+  const std::vector<double> thetas = {0.2, 0.4, 0.6};
+  std::vector<std::vector<index::ObjectId>> answers;
+  for (const double theta : thetas) {
+    auto result = (*stepping)->Submit(core::PrqQuery{*g, 25.0, theta},
+                                      core::PrqOptions());
+    ASSERT_TRUE(result.ok());
+    answers.push_back(std::move(*result));
   }
-  // Gone with the evaluators that kept it.
-  EXPECT_TRUE(kept.expired());
+  EXPECT_EQ(Counter("gprq.mc.pool_builds") - builds, 1u);
+  EXPECT_EQ(Counter("gprq.mc.pool_cache.hits") - hits, 2u);
+  // Each answer equals that of an executor that draws its pool afresh.
+  for (size_t i = 0; i < answers.size(); ++i) {
+    auto fresh = exec::BatchExecutor::Create(&engine, factory, 2);
+    ASSERT_TRUE(fresh.ok());
+    auto result = (*fresh)->Submit(core::PrqQuery{*g, 25.0, thetas[i]},
+                                   core::PrqOptions());
+    ASSERT_TRUE(result.ok());
+    std::sort(result->begin(), result->end());
+    std::sort(answers[i].begin(), answers[i].end());
+    EXPECT_EQ(*result, answers[i]) << "theta step " << i;
+  }
+  EXPECT_FALSE(answers[0].empty());
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 # regression, the fault/deadline/overload robustness suites, and the
 # result-cache, SIMD-kernel, sharded scatter-gather and paged-vs-engine
 # differential suites, the sample pool's exactness differential with
-# concurrent readers of one pool, the process-wide pool cache's
-# single-flight builds, the net/ wire-protocol robustness +
+# concurrent readers of one pool, the Monte-Carlo evaluator's pool
+# memo (one build for concurrent requests), the net/ wire-protocol robustness +
 # live-server + end-to-end differential suites, the storage engine's
 # crash-recovery, churn-differential and epoch-snapshot suites, and the
 # remote-coordinator differential/chaos suite with its hostile
