@@ -3,12 +3,10 @@
 // integration (paper: >= 97%), so parallel Phase 3 should scale close to
 // linearly in the worker count.
 //
-// Two execution paths are compared:
-//  - per-query ExecuteParallel, which builds a worker pool and fresh
-//    evaluators for every query (the one-shot convenience path);
-//  - a persistent exec::BatchExecutor, which keeps threads and evaluators
-//    alive across the whole stream and interleaves the Phase-3 chunks of a
-//    batch — the serving configuration for sustained query traffic.
+// Each thread count gets one persistent exec::BatchExecutor — the serving
+// configuration: threads and evaluators stay alive across the whole query
+// stream. The same executor first reports per-query Phase-3 latency, then
+// sustained throughput over a repeated stream.
 
 #include <cstdio>
 #include <memory>
@@ -59,32 +57,7 @@ void Run() {
   }
   const la::Matrix cov = workload::PaperCovariance2D(gamma);
 
-  std::printf("%-10s%14s%14s%10s\n", "threads", "phase3 (ms)", "total (ms)",
-              "speedup");
-  bench::Rule(48);
-  double baseline = 0.0;
-  for (size_t threads : {1u, 2u, 4u}) {
-    double phase3 = 0.0, total = 0.0;
-    for (const auto& center : centers) {
-      auto g = core::GaussianDistribution::Create(center, cov);
-      const core::PrqQuery query{std::move(*g), delta, theta};
-      core::PrqStats stats;
-      auto result = engine.ExecuteParallel(query, core::PrqOptions(),
-                                           McFactory(samples), threads,
-                                           &stats);
-      if (!result.ok()) std::abort();
-      phase3 += stats.phase3_seconds * 1e3;
-      total += stats.total_seconds() * 1e3;
-    }
-    if (threads == 1) baseline = phase3;
-    std::printf("%-10zu%14.1f%14.1f%9.2fx\n", threads, phase3 / trials,
-                total / trials, baseline / std::max(phase3, 1e-9));
-  }
-  std::printf("\nexpected shape: near-linear speedup up to the physical "
-              "core count.\n\n");
-
-  // ---- Batch executor vs per-query ExecuteParallel throughput. -----------
-  // The same query stream (each center repeated) through both paths.
+  // The same query stream (each center repeated) for the throughput leg.
   std::vector<core::PrqQuery> stream;
   constexpr size_t kRounds = 4;
   for (size_t r = 0; r < kRounds; ++r) {
@@ -94,46 +67,51 @@ void Run() {
     }
   }
 
-  std::printf("Throughput: persistent BatchExecutor vs per-query "
-              "ExecuteParallel (%zu-query stream)\n", stream.size());
-  std::printf("%-10s%18s%16s%12s%18s\n", "threads", "per-query (q/s)",
-              "batch (q/s)", "batch/pq", "integr./s (batch)");
-  bench::Rule(74);
+  std::printf("%-10s%14s%14s%10s%14s%18s\n", "threads", "phase3 (ms)",
+              "total (ms)", "speedup", "stream (q/s)", "integr./s");
+  bench::Rule(80);
   bench::JsonReport report;
+  double baseline = 0.0;
   for (size_t threads : {1u, 2u, 4u}) {
-    Stopwatch per_query_timer;
-    for (const auto& query : stream) {
-      auto result = engine.ExecuteParallel(query, core::PrqOptions(),
-                                           McFactory(samples), threads);
-      if (!result.ok()) std::abort();
-    }
-    const double per_query_qps =
-        stream.size() / std::max(per_query_timer.ElapsedSeconds(), 1e-9);
-
     auto executor =
         exec::BatchExecutor::Create(&engine, McFactory(samples), threads);
     if (!executor.ok()) std::abort();
-    Stopwatch batch_timer;
-    auto batch = (*executor)->SubmitBatch(stream, core::PrqOptions());
-    if (!batch.ok()) std::abort();
-    const double batch_qps =
-        stream.size() / std::max(batch_timer.ElapsedSeconds(), 1e-9);
+
+    double phase3 = 0.0, total = 0.0;
+    for (const auto& center : centers) {
+      auto g = core::GaussianDistribution::Create(center, cov);
+      const core::PrqQuery query{std::move(*g), delta, theta};
+      core::PrqStats stats;
+      auto result = (*executor)->Submit(query, core::PrqOptions(), &stats);
+      if (!result.ok()) std::abort();
+      phase3 += stats.phase3_seconds * 1e3;
+      total += stats.total_seconds() * 1e3;
+    }
+    if (threads == 1) baseline = phase3;
+
+    Stopwatch stream_timer;
+    for (const auto& query : stream) {
+      auto result = (*executor)->Submit(query, core::PrqOptions());
+      if (!result.ok()) std::abort();
+    }
+    const double qps =
+        stream.size() / std::max(stream_timer.ElapsedSeconds(), 1e-9);
     const exec::ExecStats stats = (*executor)->Snapshot();
 
-    std::printf("%-10zu%18.2f%16.2f%11.2fx%18.0f\n", threads, per_query_qps,
-                batch_qps, batch_qps / std::max(per_query_qps, 1e-9),
+    std::printf("%-10zu%14.1f%14.1f%9.2fx%14.2f%18.0f\n", threads,
+                phase3 / trials, total / trials,
+                baseline / std::max(phase3, 1e-9), qps,
                 stats.integrations_per_second());
 
     bench::JsonValue record = bench::ServingRecord(stats);
-    record.SetFront("batch_qps", bench::JsonValue(batch_qps));
-    record.SetFront("per_query_qps", bench::JsonValue(per_query_qps));
+    record.SetFront("qps", bench::JsonValue(qps));
     record.SetFront("threads",
                     bench::JsonValue(static_cast<double>(threads)));
     report.Add("parallel_scaling_serving", std::move(record));
   }
-  std::printf("\nexpected shape: batch >= per-query at every thread count "
-              "(no per-query thread/evaluator setup, no pool idle between "
-              "queries), widening with threads.\n");
+  std::printf("\nexpected shape: near-linear speedup and stream throughput "
+              "up to the physical core count (%zu-query stream).\n",
+              stream.size());
 
   // Serving telemetry per thread count, each record carrying the registry
   // snapshot as of that run (GPRQ_BENCH_JSON overrides the path).

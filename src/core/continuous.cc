@@ -179,156 +179,4 @@ Result<std::vector<index::ObjectId>> ContinuousPrqMonitor::Update(
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// ContinuousQueryRegistry
-// ---------------------------------------------------------------------------
-
-ContinuousQueryRegistry::ContinuousQueryRegistry(size_t dim,
-                                                 Evaluate evaluate)
-    : dim_(dim), evaluate_(std::move(evaluate)) {}
-
-Result<ContinuousQueryRegistry::QueryId> ContinuousQueryRegistry::Register(
-    const PrqQuery& query, const PrqOptions& options) {
-  GPRQ_RETURN_NOT_OK(ValidatePrq(query, options, dim_));
-
-  Standing standing(query, options);
-  // The standing search box: recomputed here (not borrowed from any one
-  // execution) so registration does not depend on how the evaluator runs.
-  // Catalog rounding only widens boxes, and NotifyCommit only needs a
-  // sound superset, so the exact (catalog-free) geometry is fine.
-  const QueryGeometry geometry =
-      PrepareQueryGeometry(query, options, dim_, nullptr, nullptr);
-  geom::Rect search_box = geom::Rect::Empty(dim_);
-  if (geometry.proved_empty ||
-      !ComputeSearchBox(geometry, query, dim_, &search_box)) {
-    standing.proved_empty = true;
-  } else {
-    standing.search_box = search_box;
-  }
-
-  // Insert the entry first — born stale — and only then run the initial
-  // evaluation, through the same race-safe refresh path every later
-  // re-evaluation uses. Evaluating before insertion would leave a window
-  // where a commit (landing between the evaluation's epoch pin and the
-  // emplace) cannot mark the not-yet-visible query, registering it with
-  // stale initial ids and stale == false.
-  const bool proved_empty = standing.proved_empty;
-  standing.stale = !proved_empty;
-  QueryId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = next_id_++;
-    queries_.emplace(id, std::move(standing));
-  }
-  if (proved_empty) return id;
-  Status initial = RefreshOne(id);
-  if (!initial.ok()) {
-    Unregister(id);
-    return initial;
-  }
-  return id;
-}
-
-void ContinuousQueryRegistry::Unregister(QueryId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  queries_.erase(id);
-}
-
-size_t ContinuousQueryRegistry::NotifyCommit(const geom::Rect& dirty_region) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (dirty_region.IsEmpty()) return 0;
-  size_t marked = 0;
-  for (auto& [id, standing] : queries_) {
-    if (standing.proved_empty) continue;
-    if (standing.search_box.Intersects(dirty_region)) {
-      // Bump the generation even when already stale: an in-flight refresh
-      // that captured the pre-bump value must not clear the flag (its
-      // evaluation pinned an epoch that misses this commit).
-      ++standing.generation;
-      if (!standing.stale) {
-        standing.stale = true;
-        ++marked;
-      }
-    }
-  }
-  return marked;
-}
-
-Status ContinuousQueryRegistry::RefreshOne(QueryId id) {
-  std::optional<PrqQuery> query;
-  PrqOptions options;
-  uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = queries_.find(id);
-    if (it == queries_.end()) {
-      return Status::NotFound("standing query " + std::to_string(id));
-    }
-    query = it->second.query;
-    options = it->second.options;
-    generation = it->second.generation;
-  }
-  // Evaluate outside the lock: NotifyCommit from the write path must never
-  // wait on a query evaluation. A commit landing mid-evaluation bumps the
-  // entry's generation; the captured value below then mismatches and the
-  // entry stays stale (this result answered against a pre-commit epoch),
-  // so the next refresh picks it up again.
-  Result<PrqResult> fresh = evaluate_(*query, options);
-  if (!fresh.ok()) return fresh.status();
-  if (!fresh->complete()) return fresh->status;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) return Status::OK();  // unregistered meanwhile
-  if (it->second.generation != generation) return Status::OK();
-  it->second.ids = std::move(fresh->ids);
-  it->second.stale = false;
-  return Status::OK();
-}
-
-Result<std::vector<ContinuousQueryRegistry::QueryId>>
-ContinuousQueryRegistry::RefreshStale() {
-  std::vector<QueryId> stale;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, standing] : queries_) {
-      if (standing.stale) stale.push_back(id);
-    }
-  }
-  for (QueryId id : stale) GPRQ_RETURN_NOT_OK(RefreshOne(id));
-  return stale;
-}
-
-Result<std::vector<index::ObjectId>> ContinuousQueryRegistry::Current(
-    QueryId id) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = queries_.find(id);
-    if (it == queries_.end()) {
-      return Status::NotFound("standing query " + std::to_string(id));
-    }
-    if (!it->second.stale) return it->second.ids;
-  }
-  GPRQ_RETURN_NOT_OK(RefreshOne(id));
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound("standing query " + std::to_string(id));
-  }
-  return it->second.ids;
-}
-
-size_t ContinuousQueryRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queries_.size();
-}
-
-size_t ContinuousQueryRegistry::stale_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t count = 0;
-  for (const auto& [id, standing] : queries_) {
-    if (standing.stale) ++count;
-  }
-  return count;
-}
-
 }  // namespace gprq::core

@@ -2,9 +2,6 @@
 #define GPRQ_CORE_CONTINUOUS_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -82,101 +79,6 @@ class ContinuousPrqMonitor {
   geom::Rect buffer_box_;
   std::vector<std::pair<la::Vector, index::ObjectId>> buffer_;
   MonitorStats monitor_stats_;
-};
-
-/// Standing PRQ queries re-evaluated when the *data* moves — the dual of
-/// ContinuousPrqMonitor, which handles a moving query over static data.
-/// Before the mutable storage engine existed, monitoring code had no update
-/// feed at all: its buffered candidates silently went stale the moment the
-/// dataset changed (the old contract was a manual Invalidate() call the
-/// caller had to remember). This registry closes that gap, driven by
-/// storage commit notifications.
-///
-/// The registry is storage-agnostic by design (core cannot depend on
-/// storage): the owner wires it to a write path by forwarding each commit's
-/// dirty region —
-///
-///   registry.NotifyCommit(info.dirty_region);   // from a commit listener
-///
-/// and supplies an `Evaluate` callback that answers a PRQ against the
-/// current data (e.g. storage::LivePrqEngine::ExecuteBounded). Each
-/// registered query keeps its Phase-1 search box; a commit whose dirty
-/// region misses the box provably cannot change the query's answer (the
-/// box contains every point that could qualify), so only intersecting
-/// queries are marked stale, and RefreshStale() re-evaluates exactly
-/// those. A query whose BF bound proves it empty is never stale — its
-/// answer is empty for any dataset.
-///
-/// Thread-safe: NotifyCommit may run on the committing thread (it only
-/// flips stale flags — no query evaluation inside the commit path) while
-/// readers call Current()/RefreshStale(). Evaluation runs outside the
-/// registry lock so the Evaluate callback may take its own time.
-class ContinuousQueryRegistry {
- public:
-  using QueryId = uint64_t;
-  using Evaluate =
-      std::function<Result<PrqResult>(const PrqQuery&, const PrqOptions&)>;
-
-  /// `dim` is the dataset dimension; `evaluate` answers one PRQ against
-  /// the live data and must remain valid for the registry's lifetime.
-  ContinuousQueryRegistry(size_t dim, Evaluate evaluate);
-
-  /// Registers a standing query and evaluates its initial result set.
-  /// Fails if the query does not validate or the initial evaluation fails.
-  Result<QueryId> Register(const PrqQuery& query, const PrqOptions& options);
-
-  /// Removes a standing query; unknown ids are ignored.
-  void Unregister(QueryId id);
-
-  /// Commit hook: marks every registered query whose search box intersects
-  /// `dirty_region` stale. Returns how many were marked. Cheap — no
-  /// evaluation happens here.
-  size_t NotifyCommit(const geom::Rect& dirty_region);
-
-  /// Re-evaluates every stale query against the live data; returns the ids
-  /// refreshed. A query whose re-evaluation fails (or comes back partial)
-  /// stays stale and surfaces the error.
-  Result<std::vector<QueryId>> RefreshStale();
-
-  /// The query's current result set, refreshing it first when stale.
-  Result<std::vector<index::ObjectId>> Current(QueryId id);
-
-  size_t size() const;
-  size_t stale_count() const;
-
- private:
-  struct Standing {
-    // PrqQuery has no default state (a Gaussian needs its parameters), so
-    // a Standing is always born from a concrete query.
-    Standing(PrqQuery q, PrqOptions o)
-        : query(std::move(q)), options(std::move(o)) {}
-
-    PrqQuery query;
-    PrqOptions options;
-    /// Phase-1 search box; meaningless when proved_empty.
-    geom::Rect search_box;
-    bool proved_empty = false;
-    bool stale = false;
-    /// Bumped by every intersecting commit (even when already stale): a
-    /// refresh captures it before evaluating outside the lock and only
-    /// clears `stale` if it is unchanged after — a commit landing
-    /// mid-evaluation (whose data the pinned epoch missed) keeps the
-    /// entry stale instead of being silently erased.
-    uint64_t generation = 0;
-    std::vector<index::ObjectId> ids;
-  };
-
-  /// Evaluates one standing query (outside the lock) and stores the fresh
-  /// result; clears its stale flag only when no intersecting commit
-  /// landed during the evaluation (generation unchanged).
-  Status RefreshOne(QueryId id);
-
-  const size_t dim_;
-  const Evaluate evaluate_;
-
-  mutable std::mutex mutex_;
-  std::map<QueryId, Standing> queries_;
-  QueryId next_id_ = 1;
 };
 
 }  // namespace gprq::core

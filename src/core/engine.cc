@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/filter_pipeline.h"
-#include "exec/batch_executor.h"
 #include "mc/sample_pool.h"
 
 namespace gprq::core {
@@ -202,103 +201,6 @@ Result<std::vector<index::ObjectId>> PrqEngine::Execute(
     const PrqQuery& query, const PrqOptions& options,
     mc::ProbabilityEvaluator* evaluator, PrqStats* stats) const {
   return RequireComplete(ExecuteBounded(query, options, evaluator, stats));
-}
-
-Result<std::vector<std::pair<index::ObjectId, double>>>
-PrqEngine::ExecuteScored(const PrqQuery& query, const PrqOptions& options,
-                         mc::ProbabilityEvaluator* evaluator,
-                         PrqStats* stats) const {
-  if (evaluator == nullptr) {
-    return Status::InvalidArgument("evaluator must not be null");
-  }
-  PrqStats local_stats;
-  PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
-  out_stats = PrqStats();
-
-  FilterOutcome outcome;
-  obs::QueryTrace trace;
-  GPRQ_RETURN_NOT_OK(
-      RunFilterPhases(query, options, &outcome, &out_stats, &trace));
-  if (outcome.expired) {
-    // Scored results carry no undecided channel; a degraded run is an
-    // error, not a silently truncated ranking.
-    return options.control.StopStatus();
-  }
-  std::vector<std::pair<index::ObjectId, double>> scored;
-  if (outcome.proved_empty) return scored;
-
-  {
-    obs::QueryTrace::Span span(&trace, obs::QueryTrace::kPhase3);
-    const GaussianDistribution& g = query.query_object;
-    // Inner-accepted objects definitely qualify; they are evaluated anyway
-    // to report their probability (membership was already certain).
-    for (const auto& [point, id] : outcome.accepted) {
-      scored.emplace_back(
-          id, evaluator->QualificationProbability(g, point, query.delta));
-    }
-    for (const auto& [point, id] : outcome.survivors) {
-      const double probability =
-          evaluator->QualificationProbability(g, point, query.delta);
-      if (probability >= query.theta) scored.emplace_back(id, probability);
-    }
-    trace.integrations = outcome.accepted.size() + outcome.survivors.size();
-    std::sort(scored.begin(), scored.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-  }
-  trace.result_size = scored.size();
-  obs::PublishPhase3(trace);
-  out_stats.phase3_seconds = trace.phase_seconds(obs::QueryTrace::kPhase3);
-  out_stats.result_size = scored.size();
-  return scored;
-}
-
-Result<std::vector<index::ObjectId>> PrqEngine::ExecuteParallel(
-    const PrqQuery& query, const PrqOptions& options,
-    const EvaluatorFactory& factory, size_t num_threads,
-    PrqStats* stats) const {
-  if (!factory) {
-    return Status::InvalidArgument("evaluator factory must not be null");
-  }
-  if (num_threads == 0) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  PrqStats local_stats;
-  PrqStats& out_stats = (stats != nullptr) ? *stats : local_stats;
-  out_stats = PrqStats();
-
-  FilterOutcome outcome;
-  GPRQ_RETURN_NOT_OK(RunFilterPhases(query, options, &outcome, &out_stats));
-  if (outcome.expired) {
-    // Like Execute: this API promises a complete answer, so a control that
-    // fired during the filter phases surfaces as its stop status.
-    return options.control.StopStatus();
-  }
-  if (outcome.proved_empty) return std::vector<index::ObjectId>{};
-
-  // Nothing survived to Phase 3: return the inner-accepted objects without
-  // constructing evaluators or waking a single worker thread.
-  if (outcome.survivors.empty()) {
-    std::vector<index::ObjectId> result;
-    result.reserve(outcome.accepted.size());
-    for (const auto& [point, id] : outcome.accepted) result.push_back(id);
-    out_stats.result_size = result.size();
-    return result;
-  }
-
-  // ---- Phase 3, delegated to a one-shot worker pool. ----------------------
-  // More workers than survivors would only idle; cap at one per survivor.
-  const size_t workers = std::min(num_threads, outcome.survivors.size());
-  auto executor = exec::BatchExecutor::Create(this, factory, workers);
-  if (!executor.ok()) return executor.status();
-  // The control is honored between Phase-3 decisions too; a degraded run
-  // surfaces as its stop status (this API cannot mark the unresolved
-  // remainder — ExecuteBounded or SubmitBounded can).
-  return RequireComplete((*executor)->IntegrateOutcomeBounded(
-      query, std::move(outcome), options.control, &out_stats, nullptr,
-      options.pool_variant));
 }
 
 }  // namespace gprq::core

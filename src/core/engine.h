@@ -115,9 +115,9 @@ struct PrqOptions {
   /// Deadline/cancellation for this query. Unbounded by default (one flag
   /// check of overhead). Checked at phase boundaries and between Phase-3
   /// Wilson blocks; when it fires, ExecuteBounded degrades to a sound
-  /// partial PrqResult while the complete-answer APIs (Execute,
-  /// ExecuteParallel) fail with the control's StopStatus — they have no way
-  /// to mark the unresolved remainder and must not guess.
+  /// partial PrqResult while the complete-answer APIs (Execute, Submit)
+  /// fail with the control's StopStatus — they have no way to mark the
+  /// unresolved remainder and must not guess.
   common::QueryControl control;
 
   /// Criticality under overload (kPriorityBackground/Normal/Critical).
@@ -202,38 +202,12 @@ class PrqEngine {
                                    mc::ProbabilityEvaluator* evaluator,
                                    PrqStats* stats = nullptr) const;
 
-  /// Builds one evaluator per Phase-3 worker thread. Each worker needs its
-  /// own instance because evaluators carry mutable state (RNG streams);
-  /// give Monte-Carlo workers distinct seeds derived from `worker`.
+  /// Builds one evaluator per Phase-3 worker thread of an
+  /// exec::BatchExecutor. Each worker needs its own instance because
+  /// evaluators carry mutable state (RNG streams); give Monte-Carlo workers
+  /// distinct seeds derived from `worker`.
   using EvaluatorFactory =
       std::function<std::unique_ptr<mc::ProbabilityEvaluator>(size_t worker)>;
-
-  /// Like Execute, but Phase 3 fans the surviving candidates out over
-  /// `num_threads` workers. Phases 1-2 and all filtering semantics are
-  /// identical; the result set (as a set) matches Execute with an
-  /// equivalent evaluator. The numerical integrations are embarrassingly
-  /// parallel, and Phase 3 dominates query cost (paper Section V-B: at
-  /// least 97% of processing time), so speedup is near-linear.
-  ///
-  /// This is the one-shot convenience form: it builds a worker pool and the
-  /// per-worker evaluators per call, and tears them down afterwards. A
-  /// worker exception surfaces as Status::Internal. Query streams should
-  /// hold an exec::BatchExecutor instead, which keeps threads and
-  /// evaluators alive across queries.
-  Result<std::vector<index::ObjectId>> ExecuteParallel(
-      const PrqQuery& query, const PrqOptions& options,
-      const EvaluatorFactory& factory, size_t num_threads,
-      PrqStats* stats = nullptr) const;
-
-  /// Like Execute, but each qualifying object comes with its qualification
-  /// probability (sorted descending). Inner-accepted objects are evaluated
-  /// too (their probability is wanted, even though their membership was
-  /// already certain), so Phase 3 runs one evaluation per result instead
-  /// of one per surviving candidate only — use an exact evaluator unless
-  /// sampling noise in the reported scores is acceptable.
-  Result<std::vector<std::pair<index::ObjectId, double>>> ExecuteScored(
-      const PrqQuery& query, const PrqOptions& options,
-      mc::ProbabilityEvaluator* evaluator, PrqStats* stats = nullptr) const;
 
   /// The effective θ-region radius the engine would use for this θ —
   /// table-rounded when `use_catalogs`, exact otherwise, and 0 for

@@ -73,11 +73,8 @@ Status BatchExecutor::ErrorCollector::ToStatus() const {
 }
 
 BatchExecutor::BatchExecutor(
-    const core::PrqEngine* engine,
     std::vector<std::unique_ptr<mc::ProbabilityEvaluator>> evaluators)
-    : engine_(engine),
-      pool_(evaluators.size()),
-      evaluators_(std::move(evaluators)) {
+    : pool_(evaluators.size()), evaluators_(std::move(evaluators)) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   metrics_.queries = registry.GetCounter("gprq.exec.queries");
   metrics_.integrations = registry.GetCounter("gprq.exec.integrations");
@@ -107,31 +104,10 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
-  if (!factory) {
-    return Status::InvalidArgument("evaluator factory must not be null");
-  }
-  if (num_threads == 0) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  // Seed the per-worker evaluators exactly once, before any thread starts;
-  // after this, worker w owns evaluators[w] for the executor's lifetime.
-  std::vector<std::unique_ptr<mc::ProbabilityEvaluator>> evaluators;
-  evaluators.reserve(num_threads);
-  for (size_t w = 0; w < num_threads; ++w) {
-    try {
-      evaluators.push_back(factory(w));
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("evaluator factory threw: ") +
-                              e.what());
-    } catch (...) {
-      return Status::Internal("evaluator factory threw");
-    }
-    if (evaluators.back() == nullptr) {
-      return Status::InvalidArgument("factory returned a null evaluator");
-    }
-  }
-  return std::unique_ptr<BatchExecutor>(
-      new BatchExecutor(engine, std::move(evaluators)));
+  Result<std::unique_ptr<BatchExecutor>> executor =
+      CreateDetached(factory, num_threads);
+  if (executor.ok()) (*executor)->engine_ = engine;
+  return executor;
 }
 
 Result<std::unique_ptr<BatchExecutor>> BatchExecutor::Create(
@@ -169,7 +145,7 @@ Result<std::unique_ptr<BatchExecutor>> BatchExecutor::CreateDetached(
     }
   }
   return std::unique_ptr<BatchExecutor>(
-      new BatchExecutor(nullptr, std::move(evaluators)));
+      new BatchExecutor(std::move(evaluators)));
 }
 
 Status BatchExecutor::EnableResultCache(
@@ -528,130 +504,15 @@ Result<std::vector<index::ObjectId>> BatchExecutor::Submit(
   return core::RequireComplete(SubmitBounded(query, options, stats, trace));
 }
 
-Result<std::vector<core::PrqResult>> BatchExecutor::SubmitBatchBounded(
-    const std::vector<core::PrqQuery>& queries,
-    const core::PrqOptions& options,
-    const std::vector<common::QueryControl>* controls,
-    std::vector<core::PrqStats>* stats) {
+Result<core::BackendInfo> BatchExecutor::Describe() const {
   if (engine_ == nullptr) {
     return Status::InvalidArgument(
-        "detached executor cannot run filter phases; submit through the "
-        "sharded engine");
+        "detached executors serve through ShardedPrqEngine");
   }
-  const size_t nq = queries.size();
-  if (controls != nullptr && controls->size() != nq) {
-    return Status::InvalidArgument(
-        "controls must be empty or match queries in size");
-  }
-  if (stats != nullptr) {
-    stats->assign(nq, core::PrqStats());
-  }
-
-  // Phases 1-2 for every query up front, on this thread; a query that fails
-  // validation or whose control already fired degrades *its own* result and
-  // nothing else. The per-query sample pools are built here too: evaluator
-  // state may only be touched while no fan-out is in flight, and after the
-  // first enqueue below, worker 0 may already be running.
-  std::vector<core::PrqResult> results(nq);
-  std::vector<core::PrqEngine::FilterOutcome> outcomes(nq);
-  std::vector<std::shared_ptr<const mc::SamplePool>> pools(nq);
-  std::vector<std::unique_ptr<QuerySlot>> slots(nq);
-  std::vector<common::QueryControl> query_controls(nq);
-  size_t total_chunks = 0;
-  for (size_t q = 0; q < nq; ++q) {
-    core::PrqOptions q_options = options;
-    if (controls != nullptr) q_options.control = (*controls)[q];
-    query_controls[q] = q_options.control;
-
-    core::PrqStats local_stats;
-    core::PrqStats& out_stats =
-        (stats != nullptr) ? (*stats)[q] : local_stats;
-    Status filtered = engine_->RunFilterPhases(queries[q], q_options,
-                                               &outcomes[q], &out_stats);
-    if (!filtered.ok()) {
-      results[q].status = std::move(filtered);
-      continue;
-    }
-    if (outcomes[q].proved_empty) continue;
-
-    results[q].ids.reserve(outcomes[q].accepted.size());
-    for (const auto& [point, id] : outcomes[q].accepted) {
-      results[q].ids.push_back(id);
-    }
-    metrics_.accepted_without_integration->Add(outcomes[q].accepted.size());
-
-    const common::QueryControl& control = query_controls[q];
-    if (outcomes[q].expired ||
-        (!control.Unbounded() && control.ShouldStop())) {
-      results[q].undecided.reserve(outcomes[q].survivors.size());
-      for (const auto& [point, id] : outcomes[q].survivors) {
-        results[q].undecided.push_back(id);
-      }
-      results[q].status = core::DegradedStatus(control);
-      continue;
-    }
-    if (outcomes[q].survivors.empty()) continue;
-    pools[q] = MakeQueryPool(queries[q], options.pool_variant);
-    slots[q] = std::make_unique<QuerySlot>();
-    total_chunks += Phase3ChunkCount(outcomes[q].survivors.size());
-  }
-
-  // One fan-out for the whole batch: every query's chunks are in flight
-  // together, so workers drain query i+1 while stragglers finish query i.
-  CountdownLatch latch(total_chunks);
-  Stopwatch phase_timer;
-  for (size_t q = 0; q < nq; ++q) {
-    if (slots[q] == nullptr) continue;
-    EnqueuePhase3(queries[q], outcomes[q].survivors, std::move(pools[q]),
-                  query_controls[q], slots[q].get(), &latch);
-  }
-  latch.Wait();
-
-  const uint64_t phase3_nanos = phase_timer.ElapsedNanos();
-  metrics_.phase3_nanos->Record(phase3_nanos);
-  const double phase3_seconds = phase3_nanos * 1e-9;
-  metrics_.queries->Add(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    if (slots[q] != nullptr) {
-      results[q].ids.insert(results[q].ids.end(), slots[q]->merged.begin(),
-                            slots[q]->merged.end());
-      results[q].undecided = std::move(slots[q]->undecided);
-      if (slots[q]->errors.failed) {
-        results[q].status = slots[q]->errors.ToStatus();
-      } else if (!results[q].undecided.empty()) {
-        results[q].status = core::DegradedStatus(query_controls[q]);
-      }
-    }
-    if (IsStopStatus(results[q].status)) {
-      DeadlineMetrics::Get().expired_queries->Add(1);
-      DeadlineMetrics::Get().undecided_candidates->Add(
-          results[q].undecided.size());
-    }
-    metrics_.results->Add(results[q].ids.size());
-    if (stats != nullptr) {
-      (*stats)[q].phase3_seconds = phase3_seconds;
-      (*stats)[q].result_size = results[q].ids.size();
-    }
-  }
-  return results;
-}
-
-Result<std::vector<std::vector<index::ObjectId>>> BatchExecutor::SubmitBatch(
-    const std::vector<core::PrqQuery>& queries,
-    const core::PrqOptions& options, std::vector<core::PrqStats>* stats) {
-  Result<std::vector<core::PrqResult>> bounded =
-      SubmitBatchBounded(queries, options, nullptr, stats);
-  if (!bounded.ok()) return bounded.status();
-  std::vector<std::vector<index::ObjectId>> results;
-  results.reserve(bounded->size());
-  // Compat: this API cannot express per-query failure, so the first
-  // degraded query fails the whole batch (the bounded API keeps the other
-  // queries' answers).
-  for (core::PrqResult& r : *bounded) {
-    if (!r.status.ok()) return r.status;
-    results.push_back(std::move(r.ids));
-  }
-  return results;
+  core::BackendInfo info;
+  info.dim = static_cast<uint32_t>(engine_->tree().dim());
+  info.points = engine_->tree().size();
+  return info;
 }
 
 ExecStats BatchExecutor::Snapshot() const {

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "core/engine.h"
+#include "core/query_backend.h"
 #include "exec/overload.h"
 #include "exec/worker_pool.h"
 #include "mc/probability_evaluator.h"
@@ -31,7 +32,7 @@ namespace gprq::exec {
 /// the numbers stay per-executor while the registry remains the single
 /// source of truth for exporters and benches.
 struct ExecStats {
-  /// Queries completed (Submit counts 1, SubmitBatch counts its size).
+  /// Queries completed.
   uint64_t queries = 0;
   /// Phase-3 numerical integrations performed across all queries.
   uint64_t integrations = 0;
@@ -70,9 +71,10 @@ struct ExecStats {
 ///
 /// Submit runs Phases 1-2 on the calling thread (they are cheap — the paper
 /// attributes >= 97% of query time to Phase 3) and fans the surviving
-/// integrations across the pool. SubmitBatch does the same for a whole
-/// batch, interleaving every query's Phase-3 chunks in one fan-out so the
-/// pool never idles between queries.
+/// integrations across the pool. Every fanned-out surface — this
+/// executor's Submit*, the sharded engine and the live engine — runs one
+/// query body, ExecuteBounded, whose Phase 3 is the one fan-out
+/// (IntegrateOutcomeBounded).
 ///
 /// Phase 3 is pooled: before the fan-out, evaluator 0 builds one read-only
 /// mc::SamplePool per query on the submitting thread (sampling evaluators
@@ -93,7 +95,9 @@ struct ExecStats {
 /// fully thread-safe — admission control serializes execution internally
 /// (clients blocked at admission are exactly the bounded submission
 /// queue), so any number of client threads may call them concurrently.
-class BatchExecutor {
+/// That is the executor's concurrent_submitters() as a core::QueryBackend,
+/// the interface net::Server serves it through.
+class BatchExecutor : public core::QueryBackend {
  public:
   /// Builds the pool and one evaluator per worker. Fails with
   /// InvalidArgument if the factory is null, returns a null evaluator, or
@@ -111,12 +115,11 @@ class BatchExecutor {
       const OverloadPolicy& policy);
 
   /// An executor with no engine of its own: the pool, evaluators and the
-  /// source-parameterised entry points (ExecuteBounded,
-  /// IntegrateOutcomeBounded, RunTasks) work as usual, but the
-  /// engine-routed entry points (Submit*/SetOverloadPolicy) fail with
-  /// InvalidArgument. The sharded and live engines use this form — they
-  /// own their candidate sources and the executor only supplies shared
-  /// workers and per-worker evaluators.
+  /// source-parameterised entry points (ExecuteBounded, RunTasks) work as
+  /// usual, but the engine-routed entry points (Submit*, SetOverloadPolicy,
+  /// Describe) fail with InvalidArgument. The sharded and live engines use
+  /// this form — they own their candidate sources and the executor only
+  /// supplies shared workers and per-worker evaluators.
   static Result<std::unique_ptr<BatchExecutor>> CreateDetached(
       const core::PrqEngine::EvaluatorFactory& factory, size_t num_threads);
 
@@ -156,38 +159,6 @@ class BatchExecutor {
                                         core::PrqStats* stats = nullptr,
                                         obs::QueryTrace* trace = nullptr);
 
-  /// Runs a batch; `results[i]` answers `queries[i]`. All queries' Phase-3
-  /// chunks share one fan-out. If `stats` is non-null it is resized to the
-  /// batch and `(*stats)[i]` receives query i's filter-phase timings and
-  /// counts; phase3_seconds reports the shared fan-out's wall time (the
-  /// per-query attribution does not exist when chunks interleave). Fails
-  /// fast on the first query whose validation fails.
-  Result<std::vector<std::vector<index::ObjectId>>> SubmitBatch(
-      const std::vector<core::PrqQuery>& queries,
-      const core::PrqOptions& options,
-      std::vector<core::PrqStats>* stats = nullptr);
-
-  /// Deadline/cancellation-aware batch with per-query fault isolation:
-  /// `results[i]` answers `queries[i]`, and one query failing — invalid
-  /// arguments, an evaluator exception in one of its chunks, its deadline
-  /// firing — degrades only that query's PrqResult (status non-OK,
-  /// unresolved candidates in `undecided`) while every other query
-  /// completes exactly as if submitted alone. `controls` (optional) gives
-  /// each query its own deadline/cancellation, overriding options.control;
-  /// it must match `queries` in size. All queries still share one Phase-3
-  /// fan-out. An error Result is returned only for a malformed call
-  /// (mismatched `controls` size), never for a per-query failure.
-  ///
-  /// Batch submission bypasses admission control: a batch comes from one
-  /// trusted caller that already chose its size, and per-query admission
-  /// inside a shared fan-out would tear the batch apart. Open-loop query
-  /// streams that need overload protection submit per query.
-  Result<std::vector<core::PrqResult>> SubmitBatchBounded(
-      const std::vector<core::PrqQuery>& queries,
-      const core::PrqOptions& options,
-      const std::vector<common::QueryControl>* controls = nullptr,
-      std::vector<core::PrqStats>* stats = nullptr);
-
   /// The one cached bounded query body of every fanned-out surface
   /// (SubmitBounded, storage::LivePrqEngine, shard::ShardedPrqEngine):
   ///
@@ -195,8 +166,7 @@ class BatchExecutor {
   ///      hit is served verbatim, before any stop check;
   ///   2. the filter pass (core::RunFilterPhases) over `source` — or, on a
   ///      semantic hit, over the cached candidate superset;
-  ///   3. the Phase-3 fan-out under options.control
-  ///      (IntegrateOutcomeBounded);
+  ///   3. the Phase-3 fan-out under options.control;
   ///   4. publication of a complete answer into `cache`, keyed at `epoch`.
   ///
   /// `epoch` is the pinned snapshot epoch the cache validates lookups and
@@ -210,19 +180,6 @@ class BatchExecutor {
       uint64_t epoch, core::PrqStats* stats, obs::QueryTrace* trace,
       AdmissionTicket* ticket = nullptr);
 
-  /// Fans Phase 3 of an already-filtered query across the pool under
-  /// `control` and returns a (possibly partial) core::PrqResult instead of
-  /// failing the whole query on a deadline or worker error. `stats` (if
-  /// non-null) receives phase3_seconds and result_size on top of whatever
-  /// the filter pass already wrote; `trace` (if non-null) receives the
-  /// Phase-3 fields the same way. Used by ExecuteBounded and
-  /// PrqEngine::ExecuteParallel.
-  Result<core::PrqResult> IntegrateOutcomeBounded(
-      const core::PrqQuery& query, core::PrqEngine::FilterOutcome outcome,
-      const common::QueryControl& control, core::PrqStats* stats = nullptr,
-      obs::QueryTrace* trace = nullptr,
-      mc::PoolVariant pool_variant = mc::PoolVariant::kPseudoRandom);
-
   /// Runs arbitrary tasks on the worker pool and blocks until all have
   /// finished. Each task receives its worker index; a task that throws is
   /// captured (first error wins, the rest still run) and surfaced as
@@ -232,14 +189,22 @@ class BatchExecutor {
   /// per-shard Phase-1 searches on the same threads that later run Phase 3.
   Status RunTasks(std::vector<WorkerPool::Task> tasks);
 
+  // core::QueryBackend: the engine's dataset, SubmitBounded, and
+  // concurrent submitters exactly when an OverloadPolicy is installed.
+  Result<core::BackendInfo> Describe() const override;
+  Result<core::PrqResult> ExecuteQueryBounded(const core::PrqQuery& query,
+                                              const core::PrqOptions& options,
+                                              core::PrqStats* stats) override {
+    return SubmitBounded(query, options, stats);
+  }
+  bool concurrent_submitters() const override {
+    return overload() != nullptr;
+  }
+
   /// Point-in-time throughput counters.
   ExecStats Snapshot() const;
 
   size_t num_workers() const { return pool_.num_workers(); }
-
-  /// The engine Submit* routes through, or null for a detached executor.
-  /// The network front-end reads dataset facts (dim, size) through it.
-  const core::PrqEngine* engine() const { return engine_; }
 
   /// Drain hook for serving front-ends: blocks until every governed
   /// submission admitted through the OverloadController has been released
@@ -257,11 +222,9 @@ class BatchExecutor {
   /// SetOverloadPolicy, a startup knob — not safe while submissions are in
   /// flight. Once enabled, Submit/SubmitBounded run ExecuteBounded with it:
   /// the cache is consulted before the filter phases and every complete
-  /// answer is published into it; cached
-  /// answers (exact or containment-served) are set-identical to fresh
-  /// execution because Phase-3 sample pools are a pure function of
-  /// (evaluator seed, query). Batch submissions bypass the cache — a batch
-  /// shares one fan-out and its queries are typically all distinct.
+  /// answer is published into it; cached answers (exact or
+  /// containment-served) are set-identical to fresh execution because
+  /// Phase-3 sample pools are a pure function of (evaluator seed, query).
   /// The executor owns the cache; it is valid for this executor's dataset
   /// and evaluator configuration only.
   Status EnableResultCache(const cache::ResultCacheOptions& options);
@@ -277,9 +240,8 @@ class BatchExecutor {
   OverloadController* overload() const { return overload_.get(); }
 
  private:
-  BatchExecutor(const core::PrqEngine* engine,
-                std::vector<std::unique_ptr<mc::ProbabilityEvaluator>>
-                    evaluators);
+  explicit BatchExecutor(
+      std::vector<std::unique_ptr<mc::ProbabilityEvaluator>> evaluators);
 
   /// Captures the first worker error of a fan-out.
   struct ErrorCollector {
@@ -291,16 +253,25 @@ class BatchExecutor {
     Status ToStatus() const;
   };
 
-  /// Per-query Phase-3 state of one fan-out. Each query gets its own slot —
-  /// its own merge lock, undecided list, and error collector — so one
-  /// query's worker exception or deadline can never poison the answers of
-  /// the other queries sharing the fan-out.
+  /// Phase-3 state of one query's fan-out: the merge lock its chunks
+  /// append under, its undecided list, and its error collector.
   struct QuerySlot {
     std::vector<index::ObjectId> merged;
     std::vector<index::ObjectId> undecided;
     std::mutex merge_mutex;
     ErrorCollector errors;
   };
+
+  /// Fans Phase 3 of an already-filtered query across the pool under
+  /// `control` and returns a (possibly partial) core::PrqResult instead of
+  /// failing the whole query on a deadline or worker error. `stats` (if
+  /// non-null) receives phase3_seconds and result_size on top of whatever
+  /// the filter pass already wrote; `trace` (if non-null) receives the
+  /// Phase-3 fields the same way. ExecuteBounded's step 3.
+  Result<core::PrqResult> IntegrateOutcomeBounded(
+      const core::PrqQuery& query, core::PrqEngine::FilterOutcome outcome,
+      const common::QueryControl& control, core::PrqStats* stats,
+      obs::QueryTrace* trace, mc::PoolVariant pool_variant);
 
   /// Enqueues the Phase-3 chunk tasks for one query's survivors. `pool` is
   /// the query's shared sample pool from MakeQueryPool (may be null); each
@@ -349,7 +320,7 @@ class BatchExecutor {
     uint64_t baseline_results = 0;
   };
 
-  const core::PrqEngine* engine_;
+  const core::PrqEngine* engine_ = nullptr;  // set by Create
   WorkerPool pool_;
   // One per worker; evaluators_[w] is touched only by pool worker w.
   std::vector<std::unique_ptr<mc::ProbabilityEvaluator>> evaluators_;

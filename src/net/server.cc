@@ -180,70 +180,24 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-Result<std::unique_ptr<Server>> Server::Serve(exec::BatchExecutor* executor,
-                                              const ServerOptions& options) {
-  if (executor == nullptr) {
-    return Status::InvalidArgument("executor must not be null");
-  }
-  if (executor->engine() == nullptr) {
-    return Status::InvalidArgument(
-        "detached executors serve through ShardedPrqEngine");
-  }
-  GPRQ_RETURN_NOT_OK(options.Validate());
-  BackendInfo info;
-  info.dim = static_cast<uint32_t>(executor->engine()->tree().dim());
-  info.points = executor->engine()->tree().size();
-  ServerOptions effective = options;
-  // Without admission control SubmitBounded is single-submitter.
-  if (executor->overload() == nullptr) effective.submit_threads = 1;
-  std::unique_ptr<Server> server(
-      new Server(executor, nullptr, nullptr, info, effective));
-  GPRQ_RETURN_NOT_OK(server->Start());
-  return server;
-}
-
-Result<std::unique_ptr<Server>> Server::Serve(shard::ShardedPrqEngine* engine,
-                                              const ServerOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  GPRQ_RETURN_NOT_OK(options.Validate());
-  BackendInfo info;
-  info.dim = static_cast<uint32_t>(engine->dim());
-  info.points = engine->total_points();
-  info.sharded = true;
-  info.num_shards = static_cast<uint32_t>(engine->num_shards());
-  ServerOptions effective = options;
-  effective.submit_threads = 1;  // single-submitter contract
-  std::unique_ptr<Server> server(
-      new Server(nullptr, engine, nullptr, info, effective));
-  GPRQ_RETURN_NOT_OK(server->Start());
-  return server;
-}
-
-Result<std::unique_ptr<Server>> Server::Serve(QueryBackend* backend,
+Result<std::unique_ptr<Server>> Server::Serve(core::QueryBackend* backend,
                                               const ServerOptions& options) {
   if (backend == nullptr) {
     return Status::InvalidArgument("backend must not be null");
   }
   GPRQ_RETURN_NOT_OK(options.Validate());
-  const BackendInfo info = backend->Describe();
+  Result<core::BackendInfo> info = backend->Describe();
+  if (!info.ok()) return info.status();
   ServerOptions effective = options;
   if (!backend->concurrent_submitters()) effective.submit_threads = 1;
-  std::unique_ptr<Server> server(
-      new Server(nullptr, nullptr, backend, info, effective));
+  std::unique_ptr<Server> server(new Server(backend, *info, effective));
   GPRQ_RETURN_NOT_OK(server->Start());
   return server;
 }
 
-Server::Server(exec::BatchExecutor* executor, shard::ShardedPrqEngine* sharded,
-               QueryBackend* backend, BackendInfo info,
+Server::Server(core::QueryBackend* backend, core::BackendInfo info,
                const ServerOptions& options)
-    : options_(options),
-      executor_(executor),
-      sharded_(sharded),
-      backend_(backend),
-      info_(info) {
+    : options_(options), backend_(backend), info_(info) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   metrics_.connections = registry.GetCounter("gprq.net.connections");
   metrics_.active_connections =
@@ -779,21 +733,8 @@ std::string Server::ExecuteQuery(const QueryFrame& wire) {
   }
 
   core::PrqStats stats;
-  Result<core::PrqResult> outcome = [&]() -> Result<core::PrqResult> {
-    if (executor_ != nullptr) {
-      return executor_->SubmitBounded(query, options, &stats);
-    }
-    if (backend_ != nullptr) {
-      if (backend_->concurrent_submitters()) {
-        return backend_->ExecuteQueryBounded(query, options, &stats);
-      }
-      std::lock_guard<std::mutex> lock(sharded_mutex_);
-      return backend_->ExecuteQueryBounded(query, options, &stats);
-    }
-    // Sharded engine: single-submitter contract, serialized here.
-    std::lock_guard<std::mutex> lock(sharded_mutex_);
-    return sharded_->ExecuteBounded(query, options, &stats);
-  }();
+  Result<core::PrqResult> outcome =
+      backend_->ExecuteQueryBounded(query, options, &stats);
   if (!outcome.ok()) return error_frame(outcome.status());
   core::PrqResult result = std::move(*outcome);
   metrics_.request_nanos->Record(stopwatch.ElapsedNanos());

@@ -2,9 +2,10 @@
 #define GPRQ_NET_SERVER_H_
 
 // The GPRQ network front-end: an event-loop TCP server that multiplexes
-// many client connections onto one serving backend — a governed
-// exec::BatchExecutor (single-tree) or a shard::ShardedPrqEngine — speaking
-// the GPRQ/1 protocol of net/protocol.h.
+// many client connections onto one core::QueryBackend — the single-tree
+// exec::BatchExecutor, the shard::ShardedPrqEngine or the
+// remote::RemoteShardedEngine coordinator — speaking the GPRQ/1 protocol
+// of net/protocol.h.
 //
 // Threading model (see DESIGN.md §11):
 //  * One event-loop thread owns every socket: it accepts, reads, frames,
@@ -12,13 +13,13 @@
 //    ServerOptions::force_poll — the fallback is always compiled and
 //    testable).
 //  * A small pool of submitter threads executes decoded queries against
-//    the backend (SubmitBounded / ExecuteBounded are blocking calls; they
-//    must never run on the loop thread). Finished responses post to a
-//    completion queue and a self-pipe wakes the loop to write them out.
-//    With an OverloadPolicy installed SubmitBounded is thread-safe, so
-//    several submitters give admission control a concurrent arrival
-//    stream; without one — and always for the sharded engine, whose
-//    contract is single-submitter — the server forces one submitter.
+//    the backend (ExecuteQueryBounded is a blocking call; it must never
+//    run on the loop thread). Finished responses post to a completion
+//    queue and a self-pipe wakes the loop to write them out. The one
+//    submitter rule is the backend's concurrent_submitters(): a governed
+//    executor (OverloadPolicy installed) says true, so several submitters
+//    give admission control a concurrent arrival stream; every other
+//    backend says false and the server runs one submitter.
 //  * Per-connection pipelining is bounded: once a connection has
 //    max_inflight_per_conn requests executing, the loop stops decoding
 //    (and reading) from it until completions drain — TCP backpressure
@@ -53,10 +54,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/batch_executor.h"
+#include "core/query_backend.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "shard/sharded_engine.h"
 
 namespace gprq::net {
 
@@ -66,8 +66,7 @@ struct ServerOptions {
   /// 0 asks the kernel for an ephemeral port; read it back via port().
   uint16_t port = 0;
   /// Submitter threads executing queries against the backend. Forced to 1
-  /// when the backend cannot take concurrent submissions (ungoverned
-  /// executor, sharded engine).
+  /// unless the backend's concurrent_submitters() is true.
   size_t submit_threads = 2;
   /// Requests of one connection allowed in execution at once; beyond it
   /// the loop stops reading that connection (TCP backpressure).
@@ -84,54 +83,14 @@ struct ServerOptions {
   Status Validate() const;
 };
 
-/// What the WELCOME frame advertises about the dataset behind the server.
-struct BackendInfo {
-  uint32_t dim = 0;
-  uint64_t points = 0;
-  bool sharded = false;
-  uint32_t num_shards = 0;
-};
-
-/// Anything that can answer PRQ queries behind a Server, beyond the two
-/// built-in backends. The remote coordinator (remote::RemoteShardedEngine)
-/// implements this so net/ never depends on remote/ — the dependency arrow
-/// stays remote → net.
-class QueryBackend {
- public:
-  virtual ~QueryBackend() = default;
-
-  /// Dataset facts for the WELCOME frame.
-  virtual BackendInfo Describe() const = 0;
-
-  /// Blocking bounded execution; same contract as
-  /// ShardedPrqEngine::ExecuteBounded (returned ids exact, cut-off work in
-  /// undecided, status reports why). `stats` may be null.
-  virtual Result<core::PrqResult> ExecuteQueryBounded(
-      const core::PrqQuery& query, const core::PrqOptions& options,
-      core::PrqStats* stats) = 0;
-
-  /// True when ExecuteQueryBounded tolerates concurrent callers. When
-  /// false the server forces one submitter and serializes besides.
-  virtual bool concurrent_submitters() const { return false; }
-};
-
 class Server {
  public:
-  /// Serves a single-tree executor (created with an engine; with an
-  /// OverloadPolicy installed, rejections reach clients as RETRY_AFTER).
-  /// Binds, listens and starts the threads before returning; fails with
-  /// IoError when the address cannot be bound.
-  static Result<std::unique_ptr<Server>> Serve(exec::BatchExecutor* executor,
-                                               const ServerOptions& options);
-
-  /// Serves a sharded deployment. The engine's single-submitter contract
-  /// forces submit_threads to 1.
-  static Result<std::unique_ptr<Server>> Serve(shard::ShardedPrqEngine* engine,
-                                               const ServerOptions& options);
-
-  /// Serves a custom backend (e.g. the remote coordinator). submit_threads
-  /// is forced to 1 unless backend->concurrent_submitters().
-  static Result<std::unique_ptr<Server>> Serve(QueryBackend* backend,
+  /// Serves `backend` (not owned; it must outlive the server). Fails with
+  /// InvalidArgument for a null backend or one whose Describe() fails (a
+  /// detached executor), and with IoError when the address cannot be
+  /// bound. Binds, listens and starts the threads before returning;
+  /// submit_threads is forced to 1 unless backend->concurrent_submitters().
+  static Result<std::unique_ptr<Server>> Serve(core::QueryBackend* backend,
                                                const ServerOptions& options);
 
   ~Server();
@@ -142,7 +101,7 @@ class Server {
   /// The bound port (resolves port 0 to the kernel's pick).
   uint16_t port() const { return port_; }
 
-  const BackendInfo& info() const { return info_; }
+  const core::BackendInfo& info() const { return info_; }
 
   /// Begins graceful drain: stop accepting, reject new queries with
   /// RETRY_AFTER, finish in-flight work, flush responses, stop. Safe from
@@ -211,8 +170,7 @@ class Server {
   class EpollPoller;
 #endif
 
-  Server(exec::BatchExecutor* executor, shard::ShardedPrqEngine* sharded,
-         QueryBackend* backend, BackendInfo info,
+  Server(core::QueryBackend* backend, core::BackendInfo info,
          const ServerOptions& options);
 
   Status Start();
@@ -244,13 +202,8 @@ class Server {
   std::string ExecuteQuery(const QueryFrame& wire);
 
   const ServerOptions options_;
-  exec::BatchExecutor* const executor_;  // exactly one backend is non-null
-  shard::ShardedPrqEngine* const sharded_;
-  QueryBackend* const backend_;
-  const BackendInfo info_;
-  /// Serializes sharded / non-concurrent custom backends
-  /// (single-submitter contract). Unused in executor mode.
-  std::mutex sharded_mutex_;
+  core::QueryBackend* const backend_;
+  const core::BackendInfo info_;
 
   uint16_t port_ = 0;
   int listen_fd_ = -1;

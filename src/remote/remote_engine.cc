@@ -10,6 +10,10 @@
 namespace gprq::remote {
 namespace {
 
+// Buffer pool of the lazily opened fallback trees (FallbackEnumerate).
+constexpr size_t kFallbackBufferPages = 64;
+constexpr size_t kFallbackPageSize = 4096;
+
 struct RemoteMetrics {
   obs::Counter* queries;
   obs::Counter* degraded_shards;
@@ -108,8 +112,8 @@ Status RemoteShardedEngine::FallbackEnumerate(
     std::vector<index::ObjectId>* out) {
   if (fallback_trees_[shard] == nullptr) {
     index::PagedRStarTree::OpenOptions open;
-    open.page_size = options_.fallback_page_size;
-    open.buffer_pages = options_.fallback_buffer_pages;
+    open.page_size = kFallbackPageSize;
+    open.buffer_pages = kFallbackBufferPages;
     Result<index::PagedRStarTree> tree = index::PagedRStarTree::Open(
         manifest_dir_ + manifest_.shards[shard].tree_file, open);
     if (!tree.ok()) return tree.status();
@@ -318,8 +322,8 @@ Result<std::vector<index::ObjectId>> RemoteShardedEngine::Execute(
   return core::RequireComplete(ExecuteBounded(query, options, stats, trace));
 }
 
-net::BackendInfo RemoteShardedEngine::Describe() const {
-  net::BackendInfo info;
+Result<core::BackendInfo> RemoteShardedEngine::Describe() const {
+  core::BackendInfo info;
   info.dim = static_cast<uint32_t>(manifest_.dim);
   info.points = manifest_.total_points();
   info.sharded = true;

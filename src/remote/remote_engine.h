@@ -27,9 +27,9 @@
 
 #include "common/status.h"
 #include "core/prq.h"
+#include "core/query_backend.h"
 #include "exec/batch_executor.h"
 #include "index/paged_tree.h"
-#include "net/server.h"
 #include "obs/trace.h"
 #include "remote/backend_channel.h"
 #include "remote/remote_policy.h"
@@ -46,9 +46,6 @@ struct RemoteEngineOptions {
   /// coordinator runs; off, a degraded shard's candidates are *unknown*
   /// and the merged status says so.
   bool local_fallback = true;
-  /// Buffer-pool size for the lazily opened fallback trees.
-  size_t fallback_buffer_pages = 64;
-  size_t fallback_page_size = 4096;
   /// Probe every backend at Open (connect + WELCOME validation). A
   /// mis-wired backend (wrong dim / wrong shard) fails Open; an
   /// *unreachable* one is tolerated — surviving backend loss is the point
@@ -68,7 +65,7 @@ struct RemoteQueryReport {
   int rpc_hedges = 0;
 };
 
-class RemoteShardedEngine : public net::QueryBackend {
+class RemoteShardedEngine : public core::QueryBackend {
  public:
   /// `backends[k]` serves manifest shard k (one address per shard, same
   /// order); `executor` (non-null, not owned) supplies the scatter worker
@@ -97,8 +94,9 @@ class RemoteShardedEngine : public net::QueryBackend {
       const core::PrqQuery& query, const core::PrqOptions& options,
       core::PrqStats* stats = nullptr, obs::QueryTrace* trace = nullptr);
 
-  // net::QueryBackend — lets gprq_coordinator serve GPRQ/1 directly.
-  net::BackendInfo Describe() const override;
+  // core::QueryBackend — lets gprq_coordinator serve GPRQ/1 directly.
+  // Single submitter (concurrent_submitters() is false).
+  Result<core::BackendInfo> Describe() const override;
   Result<core::PrqResult> ExecuteQueryBounded(const core::PrqQuery& query,
                                               const core::PrqOptions& options,
                                               core::PrqStats* stats) override;

@@ -79,49 +79,14 @@ Result<std::unique_ptr<ShardedPrqEngine>> ShardedPrqEngine::Open(
 
   std::unique_ptr<ShardedPrqEngine> engine(new ShardedPrqEngine(
       std::move(*manifest), manifest_path, executor, options));
-  const size_t num_shards = engine->manifest_.shards.size();
-  engine->shards_.resize(num_shards);
-
-  if (options.numa_first_touch) {
-    // Open (and root-probe) each shard from a pool worker: with first-touch
-    // NUMA policy the shard's buffer pool lands on the node of a thread
-    // that will serve its scatter tasks. Slots are disjoint; no locking.
-    std::vector<Status> statuses(num_shards);
-    std::vector<exec::WorkerPool::Task> tasks;
-    tasks.reserve(num_shards);
-    for (size_t k = 0; k < num_shards; ++k) {
-      ShardedPrqEngine* raw = engine.get();
-      tasks.push_back([raw, &statuses, k](size_t) {
-        Result<index::PagedRStarTree> tree = raw->OpenShardTree(k);
-        if (!tree.ok()) {
-          statuses[k] = tree.status();
-          return;
-        }
-        raw->shards_[k] =
-            std::make_unique<index::PagedRStarTree>(std::move(*tree));
-        if (raw->manifest_.shards[k].count > 0) {
-          // Root-to-leaf warm probe; faults the first pages in.
-          const geom::Rect probe(raw->manifest_.shards[k].mbr.lo());
-          statuses[k] = raw->shards_[k]->RangeQuery(
-              probe, [](const la::Vector&, index::ObjectId) {});
-        }
-      });
-    }
-    GPRQ_RETURN_NOT_OK(executor->RunTasks(std::move(tasks)));
-    for (const Status& status : statuses) GPRQ_RETURN_NOT_OK(status);
-  } else {
-    for (size_t k = 0; k < num_shards; ++k) {
-      Result<index::PagedRStarTree> tree = engine->OpenShardTree(k);
-      if (!tree.ok()) return tree.status();
-      engine->shards_[k] =
-          std::make_unique<index::PagedRStarTree>(std::move(*tree));
-    }
-  }
-
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (engine->shards_[k]->dim() != engine->manifest_.dim) {
+  for (size_t k = 0; k < engine->manifest_.shards.size(); ++k) {
+    Result<index::PagedRStarTree> tree = engine->OpenShardTree(k);
+    if (!tree.ok()) return tree.status();
+    if (tree->dim() != engine->manifest_.dim) {
       return Status::IoError("shard tree dimension disagrees with manifest");
     }
+    engine->shards_.push_back(
+        std::make_unique<index::PagedRStarTree>(std::move(*tree)));
   }
   return engine;
 }
@@ -191,6 +156,15 @@ Result<core::PrqResult> ShardedPrqEngine::ExecuteBounded(
       stats, trace);
   if (trace != nullptr) trace->shards_total = shards_.size();
   return result;
+}
+
+Result<core::BackendInfo> ShardedPrqEngine::Describe() const {
+  core::BackendInfo info;
+  info.dim = static_cast<uint32_t>(dim());
+  info.points = total_points();
+  info.sharded = true;
+  info.num_shards = static_cast<uint32_t>(num_shards());
+  return info;
 }
 
 Result<std::vector<index::ObjectId>> ShardedPrqEngine::Execute(

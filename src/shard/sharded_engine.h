@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/prq.h"
+#include "core/query_backend.h"
 #include "exec/batch_executor.h"
 #include "index/paged_tree.h"
 #include "obs/trace.h"
@@ -22,12 +23,6 @@ struct ShardedEngineOptions {
   /// so the deployment's total cache is num_shards × buffer_pages.
   size_t buffer_pages = 128;
   size_t page_size = 4096;
-  /// Open and warm each shard's tree (root-to-leaf probe) from a worker of
-  /// the executor's pool instead of the calling thread. On NUMA machines
-  /// with first-touch allocation this places each shard's buffer pool on
-  /// the node of a worker that will actually serve it; elsewhere it is a
-  /// harmless parallel open.
-  bool numa_first_touch = false;
   /// >= 0 opens only that manifest position: the single-shard-backend mode
   /// `gprq_server --shard-only` uses so one process serves one shard of a
   /// multi-process deployment. The engine then sees a one-shard manifest
@@ -55,9 +50,10 @@ struct ShardedEngineOptions {
 /// pass. A shard read error fails the query with its status.
 ///
 /// Threading: one submitter at a time (the workers are the parallelism),
-/// matching BatchExecutor's contract. Each scatter task touches exactly
+/// matching BatchExecutor's contract — as a core::QueryBackend its
+/// concurrent_submitters() is false. Each scatter task touches exactly
 /// one shard, so the per-shard BufferPool needs no locking.
-class ShardedPrqEngine {
+class ShardedPrqEngine : public core::QueryBackend {
  public:
   /// Opens every shard listed in the manifest. `executor` (non-null, not
   /// owned, typically BatchExecutor::CreateDetached) supplies the worker
@@ -84,6 +80,14 @@ class ShardedPrqEngine {
   Result<std::vector<index::ObjectId>> Execute(
       const core::PrqQuery& query, const core::PrqOptions& options,
       core::PrqStats* stats = nullptr, obs::QueryTrace* trace = nullptr);
+
+  // core::QueryBackend — lets gprq_server serve a sharded deployment.
+  Result<core::BackendInfo> Describe() const override;
+  Result<core::PrqResult> ExecuteQueryBounded(const core::PrqQuery& query,
+                                              const core::PrqOptions& options,
+                                              core::PrqStats* stats) override {
+    return ExecuteBounded(query, options, stats);
+  }
 
   /// Attaches a semantic result cache (not owned; may be null to detach).
   /// The engine does not *serve* from the cache — the single-submitter

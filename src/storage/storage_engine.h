@@ -35,8 +35,8 @@
 //
 //  * Integration — commits invalidate the attached semantic result cache
 //    by dirtied region (cache::ResultCache::Invalidate) and notify commit
-//    listeners (core::ContinuousQueryRegistry re-evaluates registered
-//    monitoring queries). storage::LivePrqEngine runs the three-phase PRQ
+//    listeners (AddCommitListener: each published batch's dirty region).
+//    storage::LivePrqEngine runs the three-phase PRQ
 //    against pinned epochs through an exec::BatchExecutor.
 //
 // Failure handling: a failed WAL append/fsync rolls the in-memory batch
@@ -215,8 +215,8 @@ class StorageEngine {
   /// dirty region. Install before serving queries from the cache.
   void AttachResultCache(cache::ResultCache* cache);
 
-  /// Registers a commit listener (continuous-query re-evaluation, shard
-  /// replication feeds). Listeners cannot be removed; register for the
+  /// Registers a commit listener, called with each published batch's
+  /// CommitInfo. Listeners cannot be removed; register for the
   /// engine's lifetime.
   void AddCommitListener(CommitListener listener);
 

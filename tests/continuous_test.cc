@@ -7,17 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "exec/batch_executor.h"
 #include "index/str_bulk_load.h"
 #include "mc/exact_evaluator.h"
-#include "rng/random.h"
-#include "storage/live_engine.h"
-#include "storage/storage_engine.h"
 #include "workload/generators.h"
 
 namespace gprq::core {
@@ -163,213 +157,6 @@ TEST(ContinuousMonitor, ProvedEmptyTicks) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.proved_empty);
-}
-
-// ---------------------------------------------------------------------------
-// ContinuousQueryRegistry: standing queries over *mutating* data. Before
-// the storage engine, monitoring silently went stale on every dataset
-// change; these tests pin the new contract — commit notifications mark
-// exactly the affected queries stale, and refreshed results track
-// inserts/deletes.
-// ---------------------------------------------------------------------------
-
-TEST(ContinuousRegistry, MarksOnlyIntersectingQueriesStale) {
-  size_t evaluations = 0;
-  ContinuousQueryRegistry registry(
-      2, [&evaluations](const PrqQuery&, const PrqOptions&) {
-        ++evaluations;
-        return Result<PrqResult>(PrqResult{});
-      });
-
-  EXPECT_EQ(registry.size(), 0u);
-  // Invalid queries are rejected before anything registers.
-  auto bad = QueryAt(100, 100, 10.0, /*delta=*/0.0, 0.01);
-  EXPECT_FALSE(registry.Register(bad, PrqOptions()).ok());
-  EXPECT_EQ(registry.size(), 0u);
-
-  auto near = registry.Register(QueryAt(100, 100, 10.0, 25.0, 0.01),
-                                PrqOptions());
-  auto far = registry.Register(QueryAt(900, 900, 10.0, 25.0, 0.01),
-                               PrqOptions());
-  ASSERT_TRUE(near.ok());
-  ASSERT_TRUE(far.ok());
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_EQ(evaluations, 2u);  // one initial evaluation each
-  EXPECT_EQ(registry.stale_count(), 0u);
-
-  // A commit near (100, 100) can only affect the first query.
-  const geom::Rect dirty(la::Vector{95.0, 95.0}, la::Vector{105.0, 105.0});
-  EXPECT_EQ(registry.NotifyCommit(dirty), 1u);
-  EXPECT_EQ(registry.stale_count(), 1u);
-
-  // Refresh re-evaluates exactly the stale query.
-  auto refreshed = registry.RefreshStale();
-  ASSERT_TRUE(refreshed.ok());
-  ASSERT_EQ(refreshed->size(), 1u);
-  EXPECT_EQ((*refreshed)[0], *near);
-  EXPECT_EQ(evaluations, 3u);
-  EXPECT_EQ(registry.stale_count(), 0u);
-
-  // Current() on a fresh query serves without re-evaluating.
-  ASSERT_TRUE(registry.Current(*far).ok());
-  EXPECT_EQ(evaluations, 3u);
-
-  registry.Unregister(*near);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_FALSE(registry.Current(*near).ok());
-
-  // An empty dirty region (a commit of zero ops) marks nothing.
-  EXPECT_EQ(registry.NotifyCommit(geom::Rect::Empty(2)), 0u);
-}
-
-// A commit landing in the middle of a refresh's evaluation (which pinned a
-// pre-commit epoch) must not be erased when the refresh stores its result:
-// the entry stays stale until a quiet re-evaluation succeeds. NotifyCommit
-// is re-entered from inside the Evaluate callback — legal, since the
-// registry evaluates outside its lock — which makes the race deterministic.
-TEST(ContinuousRegistry, CommitDuringRefreshKeepsQueryStale) {
-  const geom::Rect dirty(la::Vector{95.0, 95.0}, la::Vector{105.0, 105.0});
-  ContinuousQueryRegistry* registry_ptr = nullptr;
-  bool commit_during_next_eval = false;
-  std::vector<index::ObjectId> next_ids;
-  ContinuousQueryRegistry registry(
-      2, [&](const PrqQuery&, const PrqOptions&) {
-        PrqResult result;
-        result.ids = next_ids;
-        if (commit_during_next_eval) {
-          commit_during_next_eval = false;
-          registry_ptr->NotifyCommit(dirty);
-        }
-        return Result<PrqResult>(std::move(result));
-      });
-  registry_ptr = &registry;
-
-  next_ids = {1};
-  auto qid = registry.Register(QueryAt(100, 100, 10.0, 25.0, 0.01),
-                               PrqOptions());
-  ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(registry.stale_count(), 0u);
-
-  registry.NotifyCommit(dirty);
-  EXPECT_EQ(registry.stale_count(), 1u);
-  commit_during_next_eval = true;
-  next_ids = {2};
-  ASSERT_TRUE(registry.RefreshStale().ok());
-  // The refresh's answer predates the mid-evaluation commit: still stale.
-  EXPECT_EQ(registry.stale_count(), 1u);
-
-  // A quiet refresh settles it.
-  next_ids = {3};
-  ASSERT_TRUE(registry.RefreshStale().ok());
-  EXPECT_EQ(registry.stale_count(), 0u);
-  auto current = registry.Current(*qid);
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(*current, (std::vector<index::ObjectId>{3}));
-}
-
-// The same race at registration time: the standing entry must be visible
-// to NotifyCommit before its initial evaluation runs, so a commit landing
-// mid-evaluation leaves the new query marked stale instead of registering
-// it fresh with pre-commit ids.
-TEST(ContinuousRegistry, CommitDuringRegistrationLeavesQueryStale) {
-  const geom::Rect dirty(la::Vector{95.0, 95.0}, la::Vector{105.0, 105.0});
-  ContinuousQueryRegistry* registry_ptr = nullptr;
-  bool commit_during_next_eval = true;  // fires during the initial eval
-  std::vector<index::ObjectId> next_ids = {1};
-  ContinuousQueryRegistry registry(
-      2, [&](const PrqQuery&, const PrqOptions&) {
-        PrqResult result;
-        result.ids = next_ids;
-        if (commit_during_next_eval) {
-          commit_during_next_eval = false;
-          registry_ptr->NotifyCommit(dirty);
-        }
-        return Result<PrqResult>(std::move(result));
-      });
-  registry_ptr = &registry;
-
-  auto qid = registry.Register(QueryAt(100, 100, 10.0, 25.0, 0.01),
-                               PrqOptions());
-  ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(registry.stale_count(), 1u);
-
-  // Current() refreshes and now sees the post-commit data.
-  next_ids = {1, 2};
-  auto current = registry.Current(*qid);
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(*current, (std::vector<index::ObjectId>{1, 2}));
-  EXPECT_EQ(registry.stale_count(), 0u);
-}
-
-TEST(ContinuousRegistry, TracksStorageInsertsAndDeletes) {
-  const size_t dim = 2;
-  const std::string dir = ::testing::TempDir() + "/continuous_registry";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  auto created = storage::StorageEngine::Create(dir, dim, {});
-  ASSERT_TRUE(created.ok());
-  storage::StorageEngine* engine = created->get();
-
-  auto executor = exec::BatchExecutor::CreateDetached(
-      [](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
-        return std::make_unique<mc::ImhofEvaluator>();
-      },
-      2);
-  ASSERT_TRUE(executor.ok());
-  storage::LivePrqEngine live(engine, executor->get());
-
-  ContinuousQueryRegistry registry(
-      dim, [&live](const PrqQuery& query, const PrqOptions& options) {
-        return live.ExecuteBounded(query, options);
-      });
-  // The wiring under test: every storage commit feeds its dirty region to
-  // the registry on the committing thread.
-  engine->AddCommitListener([&registry](const storage::CommitInfo& info) {
-    registry.NotifyCommit(info.dirty_region);
-  });
-
-  // Seed data around (500, 500) and register a standing query there.
-  for (uint32_t id = 1; id <= 5; ++id) {
-    la::Vector point{500.0 + static_cast<double>(id), 500.0};
-    ASSERT_TRUE(engine->Insert(point, id).ok());
-  }
-  const PrqQuery standing = QueryAt(500, 500, 10.0, 50.0, 0.01);
-  auto qid = registry.Register(standing, PrqOptions());
-  ASSERT_TRUE(qid.ok());
-  auto initial = registry.Current(*qid);
-  ASSERT_TRUE(initial.ok());
-  std::vector<index::ObjectId> ids = *initial;
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<index::ObjectId>{1, 2, 3, 4, 5}));
-
-  // An insert inside the region marks the query stale; its refreshed
-  // result contains the newcomer.
-  ASSERT_TRUE(engine->Insert(la::Vector{500.0, 500.0}, 42).ok());
-  EXPECT_EQ(registry.stale_count(), 1u);
-  auto grown = registry.Current(*qid);
-  ASSERT_TRUE(grown.ok());
-  ids = *grown;
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<index::ObjectId>{1, 2, 3, 4, 5, 42}));
-  EXPECT_EQ(registry.stale_count(), 0u);
-
-  // A delete inside the region shrinks it again.
-  ASSERT_TRUE(engine->Delete(la::Vector{503.0, 500.0}, 3).ok());
-  EXPECT_EQ(registry.stale_count(), 1u);
-  auto shrunk = registry.Current(*qid);
-  ASSERT_TRUE(shrunk.ok());
-  ids = *shrunk;
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<index::ObjectId>{1, 2, 4, 5, 42}));
-
-  // A far-away commit does not even mark the query stale.
-  ASSERT_TRUE(engine->Insert(la::Vector{-5000.0, -5000.0}, 777).ok());
-  EXPECT_EQ(registry.stale_count(), 0u);
-  auto unchanged = registry.Current(*qid);
-  ASSERT_TRUE(unchanged.ok());
-  ids = *unchanged;
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<index::ObjectId>{1, 2, 4, 5, 42}));
 }
 
 }  // namespace

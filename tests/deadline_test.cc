@@ -210,12 +210,14 @@ TEST(ExecuteBounded, CompleteAnswerApisFailInsteadOfDroppingUndecided) {
   ASSERT_FALSE(execute.ok());
   EXPECT_EQ(execute.status().code(), StatusCode::kDeadlineExceeded);
 
-  auto parallel = engine.ExecuteParallel(
-      query, options,
+  auto executor = exec::BatchExecutor::Create(
+      &engine,
       [](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
         return std::make_unique<mc::ImhofEvaluator>();
       },
       2);
+  ASSERT_TRUE(executor.ok());
+  auto parallel = (*executor)->Submit(query, options);
   ASSERT_FALSE(parallel.ok());
   EXPECT_EQ(parallel.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -289,7 +291,7 @@ TEST(SubmitBounded, ExpiredControlDegradesAndExecutorStaysServiceable) {
   EXPECT_TRUE(complete->complete());
 }
 
-TEST(SubmitBatchBounded, MixedDeadlinesDegradeOnlyTheExpiredQueries) {
+TEST(SubmitBounded, MixedDeadlinesDegradeOnlyTheExpiredQueries) {
   const auto fixture = Fixture::Make(3000, 16);
   const core::PrqEngine engine(&fixture.tree);
 
@@ -298,55 +300,44 @@ TEST(SubmitBatchBounded, MixedDeadlinesDegradeOnlyTheExpiredQueries) {
     queries.push_back(MakeQuery(fixture, q * 433, 25.0, 0.03));
   }
 
-  // Reference: the same batch, same executor configuration, no deadlines.
+  // Reference: the same queries, same executor configuration, no deadlines.
   auto reference_exec = exec::BatchExecutor::Create(&engine, McFactory(), 4);
   ASSERT_TRUE(reference_exec.ok());
-  auto reference = (*reference_exec)->SubmitBatch(queries, core::PrqOptions());
-  ASSERT_TRUE(reference.ok());
+  std::vector<std::vector<index::ObjectId>> reference;
   size_t total = 0;
-  for (const auto& ids : *reference) total += ids.size();
+  for (const core::PrqQuery& query : queries) {
+    auto result = (*reference_exec)->Submit(query, core::PrqOptions());
+    ASSERT_TRUE(result.ok());
+    total += result->size();
+    reference.push_back(std::move(*result));
+  }
   ASSERT_GT(total, 0u) << "degenerate workload decides nothing";
 
+  // Every other query expired, interleaved on one executor.
   auto executor = exec::BatchExecutor::Create(&engine, McFactory(), 4);
   ASSERT_TRUE(executor.ok());
-  std::vector<QueryControl> controls(queries.size());
-  for (size_t q = 1; q < queries.size(); q += 2) {
-    controls[q] = QueryControl::WithDeadline(Deadline::Expired());
-  }
-  auto mixed = (*executor)->SubmitBatchBounded(queries, core::PrqOptions(),
-                                               &controls);
-  ASSERT_TRUE(mixed.ok());
-  ASSERT_EQ(mixed->size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
+    core::PrqOptions options;
     if (q % 2 == 1) {
-      EXPECT_EQ((*mixed)[q].status.code(), StatusCode::kDeadlineExceeded)
+      options.control = QueryControl::WithDeadline(Deadline::Expired());
+    }
+    auto mixed = (*executor)->SubmitBounded(queries[q], options);
+    ASSERT_TRUE(mixed.ok());
+    if (q % 2 == 1) {
+      EXPECT_EQ(mixed->status.code(), StatusCode::kDeadlineExceeded)
           << "query " << q;
-      EXPECT_TRUE((*mixed)[q].ids.empty()) << "query " << q;
+      EXPECT_TRUE(mixed->ids.empty()) << "query " << q;
     } else {
-      // Bit-identical to the no-deadline run: sharing the fan-out with
-      // expired queries must not perturb the sampling of healthy ones.
-      EXPECT_TRUE((*mixed)[q].complete()) << "query " << q;
-      std::vector<index::ObjectId> got = (*mixed)[q].ids;
-      std::vector<index::ObjectId> expected = (*reference)[q];
+      // Bit-identical to the no-deadline run: expired queries on the same
+      // executor must not perturb the sampling of healthy ones.
+      EXPECT_TRUE(mixed->complete()) << "query " << q;
+      std::vector<index::ObjectId> got = mixed->ids;
+      std::vector<index::ObjectId> expected = reference[q];
       std::sort(got.begin(), got.end());
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(got, expected) << "query " << q;
     }
   }
-}
-
-TEST(SubmitBatchBounded, RejectsMismatchedControls) {
-  const auto fixture = Fixture::Make(500, 17);
-  const core::PrqEngine engine(&fixture.tree);
-  auto executor = exec::BatchExecutor::Create(&engine, McFactory(), 2);
-  ASSERT_TRUE(executor.ok());
-  const std::vector<core::PrqQuery> queries = {MakeQuery(fixture, 1),
-                                               MakeQuery(fixture, 2)};
-  const std::vector<QueryControl> controls(1);
-  auto result =
-      (*executor)->SubmitBatchBounded(queries, core::PrqOptions(), &controls);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Determinism regression: the same query batch through exec::BatchExecutor
+// Determinism regression: the same query stream through exec::BatchExecutor
 // must return identical result sets — and the shared per-query pool must
 // yield identical per-candidate probabilities — no matter how many worker
 // threads serve Phase 3. Before the shared sample pool, Monte-Carlo results
@@ -52,17 +52,28 @@ std::vector<core::PrqQuery> MakeQueries(const Fixture& fixture) {
   return queries;
 }
 
-std::vector<std::vector<index::ObjectId>> RunBatch(
+// Submits each query in turn; answer i (sorted) belongs to queries[i].
+std::vector<std::vector<index::ObjectId>> SubmitEach(
+    BatchExecutor* executor, const std::vector<core::PrqQuery>& queries) {
+  std::vector<std::vector<index::ObjectId>> results;
+  for (const core::PrqQuery& query : queries) {
+    auto result = executor->SubmitBounded(query, core::PrqOptions());
+    EXPECT_TRUE(result.ok() && result->complete());
+    std::vector<index::ObjectId> ids =
+        result.ok() ? std::move(result->ids) : std::vector<index::ObjectId>{};
+    std::sort(ids.begin(), ids.end());
+    results.push_back(std::move(ids));
+  }
+  return results;
+}
+
+std::vector<std::vector<index::ObjectId>> RunStream(
     const Fixture& fixture, const core::PrqEngine::EvaluatorFactory& factory,
     size_t num_threads) {
   const core::PrqEngine engine(&fixture.tree);
   auto executor = BatchExecutor::Create(&engine, factory, num_threads);
   EXPECT_TRUE(executor.ok());
-  auto results =
-      (*executor)->SubmitBatch(MakeQueries(fixture), core::PrqOptions());
-  EXPECT_TRUE(results.ok());
-  for (auto& ids : *results) std::sort(ids.begin(), ids.end());
-  return std::move(*results);
+  return SubmitEach(executor->get(), MakeQueries(fixture));
 }
 
 // Factories mirror production use: every worker gets a distinct seed, so
@@ -82,23 +93,23 @@ core::PrqEngine::EvaluatorFactory AdaptiveFactory() {
   };
 }
 
-TEST(Determinism, FixedBudgetBatchIdenticalAcrossThreadCounts) {
+TEST(Determinism, FixedBudgetStreamIdenticalAcrossThreadCounts) {
   const auto fixture = Fixture::Make(3000, 1);
-  const auto reference = RunBatch(fixture, FixedBudgetFactory(), 1);
+  const auto reference = RunStream(fixture, FixedBudgetFactory(), 1);
   size_t total = 0;
   for (const auto& ids : reference) total += ids.size();
   ASSERT_GT(total, 0u) << "degenerate workload decides nothing";
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(RunBatch(fixture, FixedBudgetFactory(), threads), reference)
+    EXPECT_EQ(RunStream(fixture, FixedBudgetFactory(), threads), reference)
         << "threads=" << threads;
   }
 }
 
-TEST(Determinism, AdaptiveBatchIdenticalAcrossThreadCounts) {
+TEST(Determinism, AdaptiveStreamIdenticalAcrossThreadCounts) {
   const auto fixture = Fixture::Make(3000, 2);
-  const auto reference = RunBatch(fixture, AdaptiveFactory(), 1);
+  const auto reference = RunStream(fixture, AdaptiveFactory(), 1);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(RunBatch(fixture, AdaptiveFactory(), threads), reference)
+    EXPECT_EQ(RunStream(fixture, AdaptiveFactory(), threads), reference)
         << "threads=" << threads;
   }
 }
@@ -106,21 +117,17 @@ TEST(Determinism, AdaptiveBatchIdenticalAcrossThreadCounts) {
 TEST(Determinism, RepeatedSubmissionOnOneExecutorIsStable) {
   // The pool stream is a pure function of (evaluator seed, query
   // fingerprint) — not a persistent stream that advances per query — so
-  // resubmitting the same batch to the *same* executor is bit-stable, and
-  // a freshly created executor agrees with both.
+  // resubmitting the same queries to the *same* executor is bit-stable,
+  // and a freshly created executor agrees with both.
   const auto fixture = Fixture::Make(3000, 3);
   const core::PrqEngine engine(&fixture.tree);
   auto executor = BatchExecutor::Create(&engine, FixedBudgetFactory(), 2);
   ASSERT_TRUE(executor.ok());
   const auto queries = MakeQueries(fixture);
-  auto first = (*executor)->SubmitBatch(queries, core::PrqOptions());
-  ASSERT_TRUE(first.ok());
-  auto second = (*executor)->SubmitBatch(queries, core::PrqOptions());
-  ASSERT_TRUE(second.ok());
-  for (auto& ids : *first) std::sort(ids.begin(), ids.end());
-  for (auto& ids : *second) std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(*first, *second);
-  EXPECT_EQ(RunBatch(fixture, FixedBudgetFactory(), 2), *first);
+  const auto first = SubmitEach(executor->get(), queries);
+  const auto second = SubmitEach(executor->get(), queries);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(RunStream(fixture, FixedBudgetFactory(), 2), first);
 }
 
 TEST(Determinism, PerCandidateProbabilitiesComeFromTheQueryPool) {

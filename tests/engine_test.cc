@@ -302,43 +302,5 @@ TEST(Engine, NaiveOracleValidation) {
   EXPECT_EQ(result->size(), 1u);
 }
 
-
-TEST(Engine, ExecuteScoredMatchesExecuteAndSortsByProbability) {
-  auto fixture = Fixture::Make(3000, 21);
-  const PrqEngine engine(&fixture.tree);
-  mc::ImhofEvaluator exact;
-  const auto query = MakeQuery(500, 500, 10.0, 25.0, 0.01);
-
-  auto plain = engine.Execute(query, PrqOptions(), &exact);
-  ASSERT_TRUE(plain.ok());
-  PrqStats stats;
-  auto scored = engine.ExecuteScored(query, PrqOptions(), &exact, &stats);
-  ASSERT_TRUE(scored.ok());
-  ASSERT_EQ(scored->size(), plain->size());
-  EXPECT_EQ(stats.result_size, scored->size());
-
-  std::vector<index::ObjectId> plain_ids = *plain;
-  std::vector<index::ObjectId> scored_ids;
-  for (const auto& [id, p] : *scored) {
-    scored_ids.push_back(id);
-    EXPECT_GE(p, query.theta);
-    EXPECT_LE(p, 1.0);
-  }
-  std::sort(plain_ids.begin(), plain_ids.end());
-  std::sort(scored_ids.begin(), scored_ids.end());
-  EXPECT_EQ(scored_ids, plain_ids);
-
-  for (size_t i = 1; i < scored->size(); ++i) {
-    EXPECT_LE((*scored)[i].second, (*scored)[i - 1].second + 1e-12);
-  }
-}
-
-TEST(Engine, ExecuteScoredValidatesEvaluator) {
-  auto fixture = Fixture::Make(100, 22);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(500, 500, 10.0, 25.0, 0.01);
-  EXPECT_FALSE(engine.ExecuteScored(query, PrqOptions(), nullptr).ok());
-}
-
 }  // namespace
 }  // namespace gprq::core

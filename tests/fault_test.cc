@@ -364,7 +364,7 @@ TEST_F(FaultTest, ChunkFaultDegradesToUndecidedWithInternalStatus) {
   EXPECT_EQ(AsSet(recovered->ids), AsSet(*full));
 }
 
-TEST_F(FaultTest, ChunkFaultIsolatesToOneQueryOfABatch) {
+TEST_F(FaultTest, ChunkFaultIsolatesToOneQueryOfAStream) {
   const auto fixture = EngineFixture::Make(3000, 25);
   const core::PrqEngine engine(&fixture.tree);
   std::vector<core::PrqQuery> queries;
@@ -374,9 +374,13 @@ TEST_F(FaultTest, ChunkFaultIsolatesToOneQueryOfABatch) {
 
   auto reference_exec = exec::BatchExecutor::Create(&engine, ExactFactory(), 2);
   ASSERT_TRUE(reference_exec.ok());
-  auto reference =
-      (*reference_exec)->SubmitBatch(queries, core::PrqOptions());
-  ASSERT_TRUE(reference.ok());
+  std::vector<core::PrqResult> reference;
+  for (const core::PrqQuery& query : queries) {
+    auto result = (*reference_exec)->SubmitBounded(query, core::PrqOptions());
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(result->complete());
+    reference.push_back(std::move(*result));
+  }
 
   // skip=2: with 2 workers each query contributes 2 chunks, so the fault
   // fires inside the second query's chunks and exhausts before the rest.
@@ -386,24 +390,27 @@ TEST_F(FaultTest, ChunkFaultIsolatesToOneQueryOfABatch) {
   config.skip = 2;
   config.max_triggers = 2;
   FailpointRegistry::Global().Arm("exec.batch_executor.chunk", config);
-  auto batch = (*executor)->SubmitBatchBounded(queries, core::PrqOptions());
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), queries.size());
+  std::vector<core::PrqResult> stream;
+  for (const core::PrqQuery& query : queries) {
+    auto result = (*executor)->SubmitBounded(query, core::PrqOptions());
+    ASSERT_TRUE(result.ok());
+    stream.push_back(std::move(*result));
+  }
 
   size_t degraded_queries = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
-    if (!(*batch)[q].status.ok()) {
-      EXPECT_EQ((*batch)[q].status.code(), StatusCode::kInternal);
-      EXPECT_FALSE((*batch)[q].undecided.empty());
+    if (!stream[q].status.ok()) {
+      EXPECT_EQ(stream[q].status.code(), StatusCode::kInternal);
+      EXPECT_FALSE(stream[q].undecided.empty());
       ++degraded_queries;
       continue;
     }
-    EXPECT_TRUE((*batch)[q].complete()) << "query " << q;
-    EXPECT_EQ(AsSet((*batch)[q].ids), AsSet((*reference)[q]))
+    EXPECT_TRUE(stream[q].complete()) << "query " << q;
+    EXPECT_EQ(AsSet(stream[q].ids), AsSet(reference[q].ids))
         << "healthy query " << q << " was perturbed by another's fault";
   }
   // The two triggers land in chunks of at most two distinct queries; the
-  // rest of the batch must have completed untouched.
+  // rest of the stream must have completed untouched.
   EXPECT_GE(degraded_queries, 1u);
   EXPECT_LE(degraded_queries, 2u);
 }

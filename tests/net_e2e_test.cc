@@ -25,6 +25,7 @@
 #include "net/server.h"
 #include "shard/shard_builder.h"
 #include "shard/shard_manifest.h"
+#include "shard/sharded_engine.h"
 #include "workload/generators.h"
 
 namespace gprq::net {

@@ -3,7 +3,8 @@
 // mid-frame disconnects — each a clean ERROR frame or connection close
 // with gprq.net.decode_errors incremented, never a crash), bounded
 // pipelining, the STATS frame, read/write failpoints degrading exactly
-// one connection, graceful drain, and the poll(2) fallback event loop.
+// one connection, graceful drain, the poll(2) fallback event loop, and
+// the one submitter rule (the backend's concurrent_submitters()).
 
 #include "net/server.h"
 
@@ -13,8 +14,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -510,15 +515,126 @@ TEST(NetServer, InvalidOptionsRejected) {
   bad = ServerOptions();
   bad.host = "not an address";
   EXPECT_FALSE(Server::Serve(executor->get(), bad).ok());
-  EXPECT_FALSE(
-      Server::Serve(static_cast<exec::BatchExecutor*>(nullptr),
-                    ServerOptions())
-          .ok());
+  EXPECT_FALSE(Server::Serve(nullptr, ServerOptions()).ok());
 
   // Detached executors have no engine to describe in WELCOME.
   auto detached = exec::BatchExecutor::CreateDetached(McFactory(), 1);
   ASSERT_TRUE(detached.ok());
-  EXPECT_FALSE(Server::Serve(detached->get(), ServerOptions()).ok());
+  auto served = Server::Serve(detached->get(), ServerOptions());
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+}
+
+// -- the one submitter rule --------------------------------------------------
+
+/// A backend that answers every query empty and measures how many of its
+/// calls overlap. Each call waits, up to `wait_seconds`, for a second call
+/// to be in flight at the same time — a latch with a timeout, so an
+/// overlap is observed as soon as it happens and its absence costs at
+/// most `wait_seconds` per call.
+class OverlapProbe : public core::QueryBackend {
+ public:
+  OverlapProbe(bool concurrent, double wait_seconds)
+      : concurrent_(concurrent), wait_seconds_(wait_seconds) {}
+
+  Result<core::BackendInfo> Describe() const override {
+    core::BackendInfo info;
+    info.dim = 2;
+    return info;
+  }
+
+  Result<core::PrqResult> ExecuteQueryBounded(const core::PrqQuery&,
+                                              const core::PrqOptions&,
+                                              core::PrqStats*) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++in_flight_;
+    max_in_flight_ = std::max(max_in_flight_, in_flight_);
+    overlap_cv_.notify_all();
+    overlap_cv_.wait_for(lock, std::chrono::duration<double>(wait_seconds_),
+                         [this] { return max_in_flight_ >= 2; });
+    --in_flight_;
+    ++calls_;
+    return core::PrqResult{};
+  }
+
+  bool concurrent_submitters() const override { return concurrent_; }
+
+  size_t max_in_flight() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return max_in_flight_;
+  }
+  size_t calls() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  const bool concurrent_;
+  const double wait_seconds_;
+  std::mutex mutex_;
+  std::condition_variable overlap_cv_;
+  size_t in_flight_ = 0;
+  size_t max_in_flight_ = 0;
+  size_t calls_ = 0;
+};
+
+/// Sends `per_client` queries from each of `clients` client threads at
+/// once and expects every one answered.
+void QueryFromClients(uint16_t port, size_t clients, size_t per_client) {
+  auto g = core::GaussianDistribution::Create(
+      la::Vector{0.0, 0.0}, workload::PaperCovariance2D(10.0));
+  ASSERT_TRUE(g.ok());
+  const core::PrqQuery query{std::move(*g), 25.0, 0.01};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&] {
+      auto client = Client::Connect("127.0.0.1", port);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      for (size_t q = 0; q < per_client; ++q) {
+        auto reply = (*client)->Query(query, core::PrqOptions());
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        EXPECT_TRUE(reply->result.complete());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+TEST(NetServer, ExecutorTakesConcurrentSubmittersOnlyWhenGoverned) {
+  workload::Dataset dataset = workload::GenerateClustered(
+      64, geom::Rect(la::Vector{0.0, 0.0}, la::Vector{10.0, 10.0}), 4, 1.0,
+      7);
+  auto tree = index::StrBulkLoader::Load(2, dataset.points);
+  ASSERT_TRUE(tree.ok());
+  const core::PrqEngine engine(&*tree);
+  auto executor = exec::BatchExecutor::Create(&engine, McFactory(), 1);
+  ASSERT_TRUE(executor.ok());
+  EXPECT_FALSE((*executor)->concurrent_submitters());
+  ASSERT_TRUE((*executor)->SetOverloadPolicy(exec::OverloadPolicy{}).ok());
+  EXPECT_TRUE((*executor)->concurrent_submitters());
+}
+
+TEST(NetServer, SingleSubmitterBackendNeverSeesTwoCallsInFlight) {
+  OverlapProbe probe(/*concurrent=*/false, /*wait_seconds=*/0.05);
+  ServerOptions options;
+  options.submit_threads = 4;  // asked for, but the backend says no
+  auto server = Server::Serve(&probe, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  QueryFromClients((*server)->port(), 4, 2);
+  EXPECT_EQ(probe.calls(), 8u);
+  EXPECT_EQ(probe.max_in_flight(), 1u);
+}
+
+TEST(NetServer, ConcurrentBackendCallsOverlap) {
+  // Generous wait: the test ends as soon as the overlap happens.
+  OverlapProbe probe(/*concurrent=*/true, /*wait_seconds=*/20.0);
+  ServerOptions options;
+  options.submit_threads = 4;
+  auto server = Server::Serve(&probe, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  QueryFromClients((*server)->port(), 2, 1);
+  EXPECT_EQ(probe.calls(), 2u);
+  EXPECT_EQ(probe.max_in_flight(), 2u);
 }
 
 }  // namespace

@@ -530,7 +530,7 @@ TEST(RemoteDegradation, MidScatterDeadlineReturnsPromptly) {
   EXPECT_LT(elapsed, 3.0) << "hung long past the deadline";
 }
 
-// -- the coordinator as a net::QueryBackend (gprq_coordinator's shape) -------
+// -- the coordinator as a core::QueryBackend (gprq_coordinator's shape) ------
 
 TEST(RemoteServing, CoordinatorBehindServerEndToEnd) {
   RemoteRig rig = RemoteRig::Make(2, 2, 1200, 151);
@@ -538,9 +538,8 @@ TEST(RemoteServing, CoordinatorBehindServerEndToEnd) {
       obs::MetricRegistry::Global().GetCounter("gprq.net.server.subqueries");
   const uint64_t subqueries_before = subqueries->Value();
 
-  auto server = net::Server::Serve(
-      static_cast<net::QueryBackend*>(rig.coordinator.get()),
-      net::ServerOptions());
+  auto server =
+      net::Server::Serve(rig.coordinator.get(), net::ServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   EXPECT_TRUE((*server)->info().sharded);
   EXPECT_EQ((*server)->info().num_shards, 2u);

@@ -406,27 +406,5 @@ TEST(ShardOpen, RejectsNullExecutor) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardOpen, NumaFirstTouchOpensAndServesIdentically) {
-  const std::string dir = TempDir("shard_numa");
-  const auto fixture = Fixture::Make(dir, 2000, 41);
-  const std::string manifest = fixture.Shard(TempDir(dir + "_k4"), 4);
-  auto executor = exec::BatchExecutor::CreateDetached(McFactory(), 4);
-  ASSERT_TRUE(executor.ok());
-
-  ShardedEngineOptions options;
-  options.numa_first_touch = true;
-  auto numa = ShardedPrqEngine::Open(manifest, executor->get(), options);
-  ASSERT_TRUE(numa.ok()) << numa.status().ToString();
-  auto plain = ShardedPrqEngine::Open(manifest, executor->get());
-  ASSERT_TRUE(plain.ok());
-
-  const auto query = MakeQuery(fixture, 250);
-  auto a = (*numa)->Execute(query, core::PrqOptions());
-  auto b = (*plain)->Execute(query, core::PrqOptions());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(AsSet(*a), AsSet(*b));
-}
-
 }  // namespace
 }  // namespace gprq::shard

@@ -499,8 +499,10 @@ int RunQuery(const FlagSet& flags) {
   Result<std::vector<index::ObjectId>> result =
       Status::Internal("unreachable");
   if (*threads > 1) {
-    result = engine.ExecuteParallel(setup->query, options, factory,
-                                    static_cast<size_t>(*threads), &stats);
+    auto executor = exec::BatchExecutor::Create(
+        &engine, factory, static_cast<size_t>(*threads));
+    if (!executor.ok()) return Fail(executor.status());
+    result = (*executor)->Submit(setup->query, options, &stats);
   } else {
     std::unique_ptr<mc::ProbabilityEvaluator> evaluator;
     if (evaluator_kind == "mc") {

@@ -166,8 +166,7 @@ int Main(int argc, char** argv) {
   server_options.max_connections = static_cast<size_t>(*max_connections);
   server_options.force_poll = (poller == "poll");
 
-  auto served = net::Server::Serve(
-      static_cast<net::QueryBackend*>(engine->get()), server_options);
+  auto served = net::Server::Serve(engine->get(), server_options);
   if (!served.ok()) return Fail(served.status());
   std::unique_ptr<net::Server> server = std::move(*served);
 

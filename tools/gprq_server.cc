@@ -169,7 +169,7 @@ int Main(int argc, char** argv) {
   std::unique_ptr<core::PrqEngine> engine;
   std::unique_ptr<exec::BatchExecutor> executor;
   std::unique_ptr<shard::ShardedPrqEngine> sharded;
-  std::unique_ptr<net::Server> server;
+  core::QueryBackend* backend = nullptr;
 
   if (!data.empty()) {
     auto loaded = workload::LoadCsv(data);
@@ -192,9 +192,7 @@ int Main(int argc, char** argv) {
     }
     if (!created.ok()) return Fail(created.status());
     executor = std::move(*created);
-    auto served = net::Server::Serve(executor.get(), server_options);
-    if (!served.ok()) return Fail(served.status());
-    server = std::move(*served);
+    backend = executor.get();
   } else {
     std::string manifest_path = shards;
     if (manifest_path.find(".manifest") == std::string::npos) {
@@ -213,10 +211,11 @@ int Main(int argc, char** argv) {
                                                 sharded_options);
     if (!opened.ok()) return Fail(opened.status());
     sharded = std::move(*opened);
-    auto served = net::Server::Serve(sharded.get(), server_options);
-    if (!served.ok()) return Fail(served.status());
-    server = std::move(*served);
+    backend = sharded.get();
   }
+  auto served = net::Server::Serve(backend, server_options);
+  if (!served.ok()) return Fail(served.status());
+  std::unique_ptr<net::Server> server = std::move(*served);
 
   for (const std::string& key : flags->UnusedKeys()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());

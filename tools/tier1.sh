@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, then sanitizer
 # passes in separate build trees — a ThreadSanitizer pass
-# (GPRQ_SANITIZE=thread) over the threaded suites (the engine's parallel
-# path, the exec/ worker-pool/batch-executor layer, the obs
+# (GPRQ_SANITIZE=thread) over the threaded suites (the exec/
+# worker-pool/batch-executor layer and its Phase-3 fan-out, the obs
 # metric-registry concurrency suites, the cross-thread-count determinism
 # regression, the fault/deadline/overload robustness suites, and the
 # result-cache, SIMD-kernel, sharded scatter-gather and paged-vs-engine
@@ -32,7 +32,7 @@ case "${MODE}" in
   *) echo "usage: $0 [all|build|tsan|asan|faultoff]" >&2; exit 2 ;;
 esac
 
-THREADED_TARGETS=(sample_pool_test pool_cache_test parallel_test
+THREADED_TARGETS=(sample_pool_test pool_cache_test
                   worker_pool_test
                   batch_executor_test
                   determinism_test metrics_test trace_test
