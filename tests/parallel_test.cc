@@ -1,19 +1,22 @@
-// Tests for ExecuteParallel: identical results to sequential execution,
-// input validation, and correct stats.
+// Tests for the BatchExecutor's Phase-3 fan-out across worker threads:
+// identical results to sequential execution at any thread count, more
+// threads than survivors, a single survivor, the proved-empty short
+// circuit, and Monte-Carlo workers with distinct seeds.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
-#include <stdexcept>
 
 #include "core/engine.h"
+#include "exec/batch_executor.h"
 #include "index/str_bulk_load.h"
 #include "mc/exact_evaluator.h"
 #include "mc/monte_carlo.h"
 #include "workload/generators.h"
 
-namespace gprq::core {
+namespace gprq::exec {
 namespace {
 
 struct Fixture {
@@ -30,55 +33,40 @@ struct Fixture {
   }
 };
 
-PrqQuery MakeQuery(const Fixture& fixture, double gamma, double delta,
-                   double theta) {
-  auto g = GaussianDistribution::Create(
-      fixture.dataset.points[fixture.dataset.size() / 2],
+core::PrqQuery MakeQuery(const Fixture& fixture, size_t center_index,
+                         double gamma, double delta, double theta) {
+  auto g = core::GaussianDistribution::Create(
+      fixture.dataset.points[center_index % fixture.dataset.size()],
       workload::PaperCovariance2D(gamma));
   EXPECT_TRUE(g.ok());
-  return PrqQuery{std::move(*g), delta, theta};
+  return core::PrqQuery{std::move(*g), delta, theta};
 }
 
-PrqEngine::EvaluatorFactory ExactFactory() {
+core::PrqEngine::EvaluatorFactory ExactFactory() {
   return [](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
     return std::make_unique<mc::ImhofEvaluator>();
   };
 }
 
-TEST(ExecuteParallel, ValidatesInput) {
-  auto fixture = Fixture::Make(200, 1);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(fixture, 10.0, 25.0, 0.01);
-  EXPECT_FALSE(
-      engine.ExecuteParallel(query, PrqOptions(), nullptr, 2).ok());
-  EXPECT_FALSE(
-      engine.ExecuteParallel(query, PrqOptions(), ExactFactory(), 0).ok());
-  const auto null_factory =
-      [](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
-    return nullptr;
-  };
-  EXPECT_FALSE(
-      engine.ExecuteParallel(query, PrqOptions(), null_factory, 2).ok());
-}
-
-TEST(ExecuteParallel, MatchesSequentialWithExactEvaluator) {
+TEST(ParallelPhase3, MatchesSequentialWithExactEvaluatorAtAnyThreadCount) {
   auto fixture = Fixture::Make(4000, 2);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(fixture, 10.0, 25.0, 0.01);
+  const core::PrqEngine engine(&fixture.tree);
+  const auto query = MakeQuery(fixture, 2000, 10.0, 25.0, 0.01);
 
   mc::ImhofEvaluator exact;
-  PrqStats seq_stats;
+  core::PrqStats seq_stats;
   auto sequential =
-      engine.Execute(query, PrqOptions(), &exact, &seq_stats);
+      engine.Execute(query, core::PrqOptions(), &exact, &seq_stats);
   ASSERT_TRUE(sequential.ok());
   std::vector<index::ObjectId> expected = *sequential;
   std::sort(expected.begin(), expected.end());
 
   for (size_t threads : {1u, 2u, 3u, 8u}) {
-    PrqStats par_stats;
-    auto parallel = engine.ExecuteParallel(query, PrqOptions(),
-                                           ExactFactory(), threads,
-                                           &par_stats);
+    auto executor = BatchExecutor::Create(&engine, ExactFactory(), threads);
+    ASSERT_TRUE(executor.ok()) << "threads=" << threads;
+    core::PrqStats par_stats;
+    auto parallel =
+        (*executor)->Submit(query, core::PrqOptions(), &par_stats);
     ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
     std::vector<index::ObjectId> got = *parallel;
     std::sort(got.begin(), got.end());
@@ -89,15 +77,16 @@ TEST(ExecuteParallel, MatchesSequentialWithExactEvaluator) {
   }
 }
 
-TEST(ExecuteParallel, MoreThreadsThanSurvivors) {
+TEST(ParallelPhase3, MoreThreadsThanSurvivors) {
   auto fixture = Fixture::Make(50, 3);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(fixture, 1.0, 10.0, 0.2);
-  auto result =
-      engine.ExecuteParallel(query, PrqOptions(), ExactFactory(), 64);
+  const core::PrqEngine engine(&fixture.tree);
+  const auto query = MakeQuery(fixture, 25, 1.0, 10.0, 0.2);
+  auto executor = BatchExecutor::Create(&engine, ExactFactory(), 64);
+  ASSERT_TRUE(executor.ok());
+  auto result = (*executor)->Submit(query, core::PrqOptions());
   ASSERT_TRUE(result.ok());
   mc::ImhofEvaluator exact;
-  auto sequential = engine.Execute(query, PrqOptions(), &exact);
+  auto sequential = engine.Execute(query, core::PrqOptions(), &exact);
   ASSERT_TRUE(sequential.ok());
   std::vector<index::ObjectId> a = *result, b = *sequential;
   std::sort(a.begin(), a.end());
@@ -105,52 +94,25 @@ TEST(ExecuteParallel, MoreThreadsThanSurvivors) {
   EXPECT_EQ(a, b);
 }
 
-TEST(ExecuteParallel, ProvedEmptyShortCircuits) {
+TEST(ParallelPhase3, ProvedEmptyShortCircuits) {
   auto fixture = Fixture::Make(100, 4);
-  const PrqEngine engine(&fixture.tree);
-  auto g = GaussianDistribution::Create(la::Vector{500.0, 500.0},
-                                        la::Matrix::Identity(2) * 1e6);
+  const core::PrqEngine engine(&fixture.tree);
+  auto executor = BatchExecutor::Create(&engine, ExactFactory(), 4);
+  ASSERT_TRUE(executor.ok());
+  auto g = core::GaussianDistribution::Create(la::Vector{500.0, 500.0},
+                                              la::Matrix::Identity(2) * 1e6);
   ASSERT_TRUE(g.ok());
-  const PrqQuery query{std::move(*g), 1.0, 0.4};
-  PrqOptions options;
-  options.strategies = kStrategyBF;
-  PrqStats stats;
-  auto result =
-      engine.ExecuteParallel(query, options, ExactFactory(), 4, &stats);
+  const core::PrqQuery query{std::move(*g), 1.0, 0.4};
+  core::PrqOptions options;
+  options.strategies = core::kStrategyBF;
+  core::PrqStats stats;
+  auto result = (*executor)->Submit(query, options, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
   EXPECT_TRUE(stats.proved_empty);
 }
 
-TEST(ExecuteParallel, ZeroSurvivorsNeverCallsTheFactory) {
-  auto fixture = Fixture::Make(200, 7);
-  const PrqEngine engine(&fixture.tree);
-  // Query far outside the dataset extent with RR only: Phase 1 finds no
-  // candidates, so Phase 3 has nothing to do. No evaluator may be built and
-  // no worker thread may be spawned for such a query.
-  auto g = GaussianDistribution::Create(la::Vector{50000.0, 50000.0},
-                                        la::Matrix::Identity(2) * 4.0);
-  ASSERT_TRUE(g.ok());
-  const PrqQuery query{std::move(*g), 5.0, 0.1};
-  PrqOptions options;
-  options.strategies = kStrategyRR;
-
-  size_t factory_calls = 0;
-  const auto counting_factory =
-      [&factory_calls](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
-    ++factory_calls;
-    return std::make_unique<mc::ImhofEvaluator>();
-  };
-  PrqStats stats;
-  auto result =
-      engine.ExecuteParallel(query, options, counting_factory, 4, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
-  EXPECT_EQ(stats.integration_candidates, 0u);
-  EXPECT_EQ(factory_calls, 0u);
-}
-
-TEST(ExecuteParallel, SingleSurvivorWithManyThreads) {
+TEST(ParallelPhase3, SingleSurvivorWithManyThreads) {
   // Three far-apart points; a tight query box around one of them with BF
   // disabled (no inner acceptance) leaves exactly one Phase-3 survivor.
   std::vector<la::Vector> points = {la::Vector{100.0, 100.0},
@@ -158,68 +120,40 @@ TEST(ExecuteParallel, SingleSurvivorWithManyThreads) {
                                     la::Vector{900.0, 900.0}};
   auto tree = index::StrBulkLoader::Load(2, points);
   ASSERT_TRUE(tree.ok());
-  const PrqEngine engine(&*tree);
-  auto g = GaussianDistribution::Create(la::Vector{500.0, 500.0},
-                                        la::Matrix::Identity(2) * 4.0);
+  const core::PrqEngine engine(&*tree);
+  auto executor = BatchExecutor::Create(&engine, ExactFactory(), 16);
+  ASSERT_TRUE(executor.ok());
+  auto g = core::GaussianDistribution::Create(la::Vector{500.0, 500.0},
+                                              la::Matrix::Identity(2) * 4.0);
   ASSERT_TRUE(g.ok());
-  const PrqQuery query{std::move(*g), 20.0, 0.3};
-  PrqOptions options;
-  options.strategies = kStrategyRR;
+  const core::PrqQuery query{std::move(*g), 20.0, 0.3};
+  core::PrqOptions options;
+  options.strategies = core::kStrategyRR;
 
-  PrqStats stats;
-  auto result = engine.ExecuteParallel(query, options, ExactFactory(), 16,
-                                       &stats);
+  core::PrqStats stats;
+  auto result = (*executor)->Submit(query, options, &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(stats.integration_candidates, 1u);
   EXPECT_EQ(*result, std::vector<index::ObjectId>{1});
 }
 
-TEST(ExecuteParallel, ThrowingEvaluatorReturnsInternalStatus) {
-  auto fixture = Fixture::Make(4000, 8);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(fixture, 10.0, 25.0, 0.01);
-
-  mc::ImhofEvaluator exact;
-  PrqStats pre_stats;
-  ASSERT_TRUE(engine.Execute(query, PrqOptions(), &exact, &pre_stats).ok());
-  ASSERT_GT(pre_stats.integration_candidates, 0u);
-
-  class ThrowingEvaluator : public mc::ProbabilityEvaluator {
-   public:
-    double QualificationProbability(const GaussianDistribution&,
-                                    const la::Vector&, double) override {
-      throw std::runtime_error("evaluator boom");
-    }
-    const char* name() const override { return "throwing"; }
-  };
-  const auto throwing_factory =
-      [](size_t) -> std::unique_ptr<mc::ProbabilityEvaluator> {
-    return std::make_unique<ThrowingEvaluator>();
-  };
-  auto result =
-      engine.ExecuteParallel(query, PrqOptions(), throwing_factory, 4);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("evaluator boom"),
-            std::string::npos);
-}
-
-TEST(ExecuteParallel, MonteCarloWorkersWithDistinctSeeds) {
+TEST(ParallelPhase3, MonteCarloWorkersWithDistinctSeeds) {
   auto fixture = Fixture::Make(3000, 5);
-  const PrqEngine engine(&fixture.tree);
-  const auto query = MakeQuery(fixture, 10.0, 25.0, 0.01);
+  const core::PrqEngine engine(&fixture.tree);
+  const auto query = MakeQuery(fixture, 1500, 10.0, 25.0, 0.01);
 
   const auto mc_factory =
       [](size_t worker) -> std::unique_ptr<mc::ProbabilityEvaluator> {
     return std::make_unique<mc::MonteCarloEvaluator>(
         mc::MonteCarloOptions{.samples = 20000, .seed = 1000 + worker});
   };
-  auto parallel =
-      engine.ExecuteParallel(query, PrqOptions(), mc_factory, 2);
+  auto executor = BatchExecutor::Create(&engine, mc_factory, 2);
+  ASSERT_TRUE(executor.ok());
+  auto parallel = (*executor)->Submit(query, core::PrqOptions());
   ASSERT_TRUE(parallel.ok());
 
   mc::ImhofEvaluator exact;
-  auto reference = engine.Execute(query, PrqOptions(), &exact);
+  auto reference = engine.Execute(query, core::PrqOptions(), &exact);
   ASSERT_TRUE(reference.ok());
   std::vector<index::ObjectId> a = *parallel, b = *reference;
   std::sort(a.begin(), a.end());
@@ -231,4 +165,4 @@ TEST(ExecuteParallel, MonteCarloWorkersWithDistinctSeeds) {
 }
 
 }  // namespace
-}  // namespace gprq::core
+}  // namespace gprq::exec

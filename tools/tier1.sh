@@ -32,7 +32,7 @@ case "${MODE}" in
   *) echo "usage: $0 [all|build|tsan|asan|faultoff]" >&2; exit 2 ;;
 esac
 
-THREADED_TARGETS=(sample_pool_test pool_cache_test
+THREADED_TARGETS=(sample_pool_test pool_cache_test parallel_test
                   worker_pool_test
                   batch_executor_test
                   determinism_test metrics_test trace_test
