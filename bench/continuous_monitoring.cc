@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/continuous.h"
-#include "mc/slice_evaluator.h"
+#include "experiments/continuous.h"
+#include "experiments/slice_evaluator.h"
 #include "workload/tiger_synthetic.h"
 
 namespace gprq {

@@ -7,7 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "core/histogram.h"
+#include "experiments/histogram.h"
 #include "mc/exact_evaluator.h"
 #include "rng/random.h"
 #include "workload/tiger_synthetic.h"

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "experiments/slice_evaluator.h"
 #include "mc/exact_evaluator.h"
 #include "mc/monte_carlo.h"
-#include "mc/slice_evaluator.h"
 #include "rng/random.h"
 #include "workload/tiger_synthetic.h"
 

@@ -9,7 +9,7 @@
 #include "common/stopwatch.h"
 #include "core/filters.h"
 #include "core/radius_catalog.h"
-#include "index/grid_index.h"
+#include "experiments/grid_index.h"
 #include "rng/random.h"
 #include "workload/tiger_synthetic.h"
 

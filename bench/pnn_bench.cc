@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/pnn.h"
+#include "experiments/pnn.h"
 #include "rng/random.h"
 #include "workload/tiger_synthetic.h"
 

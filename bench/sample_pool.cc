@@ -282,10 +282,10 @@ void Run() {
     }
     // Pooled: draw once per query, full-pool count per candidate.
     {
-      rng::Random random(100 + t);
       size_t qualifying = 0;
       Stopwatch timer;
-      const mc::SamplePool pool(*g, samples, random);
+      const mc::SamplePool pool(*g, samples, 100 + t,
+                                mc::PoolVariant::kPseudoRandom);
       const double delta_sq = delta * delta;
       for (const auto& o : objects) {
         const uint64_t hits = pool.CountWithin(o, delta_sq, 0, pool.size());
@@ -300,11 +300,11 @@ void Run() {
     }
     // Pooled + early stop: draw once, stop each candidate at CI separation.
     {
-      rng::Random random(100 + t);
       size_t qualifying = 0;
       uint64_t used = 0;
       Stopwatch timer;
-      const mc::SamplePool pool(*g, samples, random);
+      const mc::SamplePool pool(*g, samples, 100 + t,
+                                mc::PoolVariant::kPseudoRandom);
       for (const auto& o : objects) {
         const auto decision = pool.Decide(o, delta, theta);
         qualifying += decision.qualifies ? 1 : 0;

@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "core/ranking.h"
+#include "experiments/ranking.h"
 #include "mc/exact_evaluator.h"
 #include "rng/random.h"
 #include "workload/tiger_synthetic.h"

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/uncertain_targets.h"
+#include "experiments/uncertain_targets.h"
 #include "rng/random.h"
 #include "workload/generators.h"
 

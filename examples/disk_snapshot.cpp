@@ -9,9 +9,9 @@
 #include <string>
 
 #include "core/paged_prq.h"
+#include "experiments/slice_evaluator.h"
 #include "index/paged_tree.h"
 #include "index/str_bulk_load.h"
-#include "mc/slice_evaluator.h"
 #include "workload/tiger_synthetic.h"
 
 int main() {

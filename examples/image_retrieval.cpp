@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "core/engine.h"
-#include "core/ranking.h"
+#include "experiments/ranking.h"
 #include "index/str_bulk_load.h"
 #include "la/eigen_sym.h"
 #include "mc/exact_evaluator.h"

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/engine.h"
-#include "core/uncertain_targets.h"
+#include "experiments/uncertain_targets.h"
 #include "index/str_bulk_load.h"
 #include "mc/exact_evaluator.h"
 #include "workload/tiger_synthetic.h"

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "core/engine.h"
+#include "experiments/slice_evaluator.h"
 #include "index/rstar_tree.h"
-#include "mc/slice_evaluator.h"
 #include "rng/random.h"
 #include "workload/generators.h"
 

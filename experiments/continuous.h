@@ -1,5 +1,5 @@
-#ifndef GPRQ_CORE_CONTINUOUS_H_
-#define GPRQ_CORE_CONTINUOUS_H_
+#ifndef GPRQ_EXPERIMENTS_CONTINUOUS_H_
+#define GPRQ_EXPERIMENTS_CONTINUOUS_H_
 
 #include <cstdint>
 #include <vector>
@@ -21,18 +21,20 @@ namespace gprq::core {
 /// so re-running Phase 1 from the root every tick is wasted work.
 ///
 /// The monitor keeps a *buffered candidate set*: Phase 1 fetches the
-/// candidates of the current search region inflated by `buffer_margin`.
-/// While the next query's search region stays inside the buffered region,
-/// Phases 2-3 run against the buffer with no index access at all; once the
-/// region escapes, the buffer is refreshed. Results are always identical
-/// to fresh PrqEngine::Execute calls — the buffer is a superset of any
-/// region it covers (verified in tests).
+/// candidates of the current search box inflated by `buffer_margin`.
+/// While the next query's search box stays inside the buffered region,
+/// Phase 1 gathers from the buffer with no index access at all; once the
+/// box escapes, the buffer is refreshed. Every tick is core::ExecuteInline
+/// over that buffer as its CandidateSource, so the filters, the per-query
+/// sample pool and the Phase-3 decisions are the engine's: a tick answers
+/// exactly as a fresh PrqEngine::Execute with an evaluator in the same
+/// state (the buffer gathers the same points the index would).
 class ContinuousPrqMonitor {
  public:
   struct Options {
     /// Extra margin (in data units) added around the search box when the
     /// buffer is (re)fetched. Larger margins mean fewer refetches but more
-    /// Phase-2 filtering work per tick.
+    /// buffered points to scan per tick.
     double buffer_margin = 0.0;
     /// Engine options applied to every tick.
     PrqOptions prq;
@@ -41,7 +43,7 @@ class ContinuousPrqMonitor {
   struct TickStats : PrqStats {
     /// True when this tick re-fetched the buffer from the index.
     bool refetched = false;
-    /// Buffered candidates filtered this tick.
+    /// Points in the buffer Phase 1 gathered from this tick.
     size_t buffered_candidates = 0;
   };
 
@@ -56,7 +58,7 @@ class ContinuousPrqMonitor {
 
   /// Processes one location update: runs PRQ(g, δ, θ) for the new Gaussian
   /// and returns the qualifying ids, reusing the buffer when the query's
-  /// search region is still covered.
+  /// search box is still covered. Fails like PrqEngine::Execute.
   Result<std::vector<index::ObjectId>> Update(
       const PrqQuery& query, mc::ProbabilityEvaluator* evaluator,
       TickStats* stats = nullptr);
@@ -68,19 +70,16 @@ class ContinuousPrqMonitor {
   void Invalidate() { buffer_valid_ = false; }
 
  private:
-  /// Computes the Phase-1 search box for a query (mirrors the engine).
-  Result<geom::Rect> SearchBox(const PrqQuery& query, bool* proved_empty);
-
   const index::RStarTree* tree_;
   Options options_;
-  PrqEngine engine_;
+  Catalogs catalogs_;
 
   bool buffer_valid_ = false;
   geom::Rect buffer_box_;
-  std::vector<std::pair<la::Vector, index::ObjectId>> buffer_;
+  FlatCandidates buffer_;
   MonitorStats monitor_stats_;
 };
 
 }  // namespace gprq::core
 
-#endif  // GPRQ_CORE_CONTINUOUS_H_
+#endif  // GPRQ_EXPERIMENTS_CONTINUOUS_H_

@@ -1,4 +1,4 @@
-#include "index/grid_index.h"
+#include "experiments/grid_index.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,5 +1,5 @@
-#ifndef GPRQ_INDEX_GRID_INDEX_H_
-#define GPRQ_INDEX_GRID_INDEX_H_
+#ifndef GPRQ_EXPERIMENTS_GRID_INDEX_H_
+#define GPRQ_EXPERIMENTS_GRID_INDEX_H_
 
 #include <functional>
 #include <vector>
@@ -68,4 +68,4 @@ class UniformGridIndex {
 
 }  // namespace gprq::index
 
-#endif  // GPRQ_INDEX_GRID_INDEX_H_
+#endif  // GPRQ_EXPERIMENTS_GRID_INDEX_H_

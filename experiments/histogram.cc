@@ -1,4 +1,4 @@
-#include "core/histogram.h"
+#include "experiments/histogram.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,5 +1,5 @@
-#ifndef GPRQ_CORE_HISTOGRAM_H_
-#define GPRQ_CORE_HISTOGRAM_H_
+#ifndef GPRQ_EXPERIMENTS_HISTOGRAM_H_
+#define GPRQ_EXPERIMENTS_HISTOGRAM_H_
 
 #include <cstdint>
 #include <vector>
@@ -85,4 +85,4 @@ struct PrqCandidateEstimate {
 
 }  // namespace gprq::core
 
-#endif  // GPRQ_CORE_HISTOGRAM_H_
+#endif  // GPRQ_EXPERIMENTS_HISTOGRAM_H_

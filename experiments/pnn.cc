@@ -1,4 +1,4 @@
-#include "core/pnn.h"
+#include "experiments/pnn.h"
 
 #include <algorithm>
 #include <cmath>

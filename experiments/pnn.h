@@ -1,5 +1,5 @@
-#ifndef GPRQ_CORE_PNN_H_
-#define GPRQ_CORE_PNN_H_
+#ifndef GPRQ_EXPERIMENTS_PNN_H_
+#define GPRQ_EXPERIMENTS_PNN_H_
 
 #include <cstdint>
 #include <vector>
@@ -46,4 +46,4 @@ Result<std::vector<PnnCandidate>> ProbabilisticNearestNeighbor(
 
 }  // namespace gprq::core
 
-#endif  // GPRQ_CORE_PNN_H_
+#endif  // GPRQ_EXPERIMENTS_PNN_H_

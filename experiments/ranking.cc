@@ -1,4 +1,4 @@
-#include "core/ranking.h"
+#include "experiments/ranking.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef GPRQ_CORE_RANKING_H_
-#define GPRQ_CORE_RANKING_H_
+#ifndef GPRQ_EXPERIMENTS_RANKING_H_
+#define GPRQ_EXPERIMENTS_RANKING_H_
 
 #include <vector>
 
@@ -50,4 +50,4 @@ double RankingUpperBound(const GaussianDistribution& query, double delta,
 
 }  // namespace gprq::core
 
-#endif  // GPRQ_CORE_RANKING_H_
+#endif  // GPRQ_EXPERIMENTS_RANKING_H_

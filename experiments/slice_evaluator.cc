@@ -1,4 +1,4 @@
-#include "mc/slice_evaluator.h"
+#include "experiments/slice_evaluator.h"
 
 #include <cassert>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef GPRQ_MC_SLICE_EVALUATOR_H_
-#define GPRQ_MC_SLICE_EVALUATOR_H_
+#ifndef GPRQ_EXPERIMENTS_SLICE_EVALUATOR_H_
+#define GPRQ_EXPERIMENTS_SLICE_EVALUATOR_H_
 
 #include "mc/probability_evaluator.h"
 
@@ -41,4 +41,4 @@ class Slice2DEvaluator final : public ProbabilityEvaluator {
 
 }  // namespace gprq::mc
 
-#endif  // GPRQ_MC_SLICE_EVALUATOR_H_
+#endif  // GPRQ_EXPERIMENTS_SLICE_EVALUATOR_H_

@@ -1,4 +1,4 @@
-#include "core/uncertain_targets.h"
+#include "experiments/uncertain_targets.h"
 
 #include <cmath>
 

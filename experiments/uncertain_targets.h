@@ -1,5 +1,5 @@
-#ifndef GPRQ_CORE_UNCERTAIN_TARGETS_H_
-#define GPRQ_CORE_UNCERTAIN_TARGETS_H_
+#ifndef GPRQ_EXPERIMENTS_UNCERTAIN_TARGETS_H_
+#define GPRQ_EXPERIMENTS_UNCERTAIN_TARGETS_H_
 
 #include <vector>
 
@@ -47,4 +47,4 @@ Result<double> UncertainTargetProbability(const GaussianDistribution& query,
 
 }  // namespace gprq::core
 
-#endif  // GPRQ_CORE_UNCERTAIN_TARGETS_H_
+#endif  // GPRQ_EXPERIMENTS_UNCERTAIN_TARGETS_H_

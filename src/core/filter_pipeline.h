@@ -15,13 +15,16 @@
 //   LivePrqEngine          the pinned storage::StorageSnapshot
 //   ShardedPrqEngine       a parallel Phase-1 scatter over the routed shards
 //   result-cache hit       the cached FlatCandidates superset
+//   ContinuousPrqMonitor   a buffered superset of the last search box,
+//                          refilled when the box escapes it
+//                          (experiments/continuous.h)
 //
-// Phase 3 then runs either inline (core::ExecuteInline: PrqEngine, paged)
-// or fanned out by exec::BatchExecutor::ExecuteBounded, which also owns
-// the result-cache front (executor, live and sharded surfaces).
+// Phase 3 then runs either inline (core::ExecuteInline: PrqEngine, paged,
+// the continuous monitor) or fanned out by
+// exec::BatchExecutor::ExecuteBounded, which also owns the result-cache
+// front (executor, live and sharded surfaces).
 // The geometry helpers stay public because the remote coordinator routes
-// with the same search box (shard::ShardRouter) and continuous queries
-// reuse the prepared regions.
+// with the same search box (shard::ShardRouter).
 
 #include <cstdint>
 #include <utility>

@@ -91,18 +91,9 @@ bool AdaptiveMonteCarloEvaluator::QualificationDecision(
 }
 
 std::shared_ptr<const SamplePool> AdaptiveMonteCarloEvaluator::MakeSamplePool(
-    const core::GaussianDistribution& query) {
+    const core::GaussianDistribution& query, PoolVariant variant) {
   // A fresh stream per pool, keyed by the query itself: the pool is a pure
   // function of (seed, query), never of pool-construction order.
-  rng::Random pool_random(options_.seed ^ kPoolStreamSalt ^
-                          QueryFingerprint(query));
-  return std::make_shared<const SamplePool>(query, options_.max_samples,
-                                            pool_random);
-}
-
-std::shared_ptr<const SamplePool>
-AdaptiveMonteCarloEvaluator::MakeSamplePool(
-    const core::GaussianDistribution& query, PoolVariant variant) {
   const uint64_t stream_seed =
       options_.seed ^ kPoolStreamSalt ^ QueryFingerprint(query);
   return std::make_shared<const SamplePool>(query, options_.max_samples,

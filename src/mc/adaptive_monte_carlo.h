@@ -65,12 +65,7 @@ class AdaptiveMonteCarloEvaluator final : public ProbabilityEvaluator {
   /// A pool of options().max_samples draws from a stream seeded by
   /// (options().seed, pool salt, QueryFingerprint(query)) — see
   /// MonteCarloEvaluator::MakeSamplePool for the determinism rationale.
-  std::shared_ptr<const SamplePool> MakeSamplePool(
-      const core::GaussianDistribution& query) override;
-
-  /// Variant-selecting pool (see MonteCarloEvaluator): kPseudoRandom is
-  /// bit-identical to the overload above, kHalton draws randomized-Halton
-  /// QMC samples from the same stream seed.
+  /// kHalton draws randomized-Halton QMC samples from the same stream seed.
   std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query, PoolVariant variant) override;
 

@@ -110,11 +110,6 @@ double MonteCarloEvaluator::QualificationProbability(
 }
 
 std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
-    const core::GaussianDistribution& query) {
-  return MakeSamplePool(query, PoolVariant::kPseudoRandom);
-}
-
-std::shared_ptr<const SamplePool> MonteCarloEvaluator::MakeSamplePool(
     const core::GaussianDistribution& query, PoolVariant variant) {
   // A fresh stream per pool, keyed by the query itself: the pool is a pure
   // function of (seed, query), never of pool-construction order. The

@@ -55,20 +55,16 @@ class MonteCarloEvaluator final : public ProbabilityEvaluator {
   /// (options().seed, pool salt, QueryFingerprint(query)) — a pure function
   /// of evaluator seed and query, independent of how many pools were built
   /// before, so per-query Phase-3 results are reproducible on a long-lived
-  /// evaluator and unaffected by neighboring queries being skipped. The
-  /// pool is laid out in grid cells (PoolLayout::kCells) for DecideExact.
+  /// evaluator and unaffected by neighboring queries being skipped.
+  /// kPseudoRandom draws iid normals from that stream; kHalton swaps them
+  /// for the randomized-Halton QMC construction. The pool is laid out in
+  /// grid cells (PoolLayout::kCells) for DecideExact.
   /// Being a pure function, the last one is kept: a query on the same
   /// distribution and variant as the previous call gets that pool, not a
   /// copy (`gprq.mc.pool_cache.{hits,misses}`). A different one releases
   /// it before it builds; the evaluator keeps one pool until then or until
   /// it is destroyed. The memo's lock is held across a build, so
   /// concurrent calls for one distribution build it once.
-  std::shared_ptr<const SamplePool> MakeSamplePool(
-      const core::GaussianDistribution& query) override;
-
-  /// Variant-selecting pool from the same (seed, salt, fingerprint) stream
-  /// seed: kPseudoRandom is bit-identical to the overload above; kHalton
-  /// swaps the iid draws for the randomized-Halton QMC construction.
   std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query, PoolVariant variant) override;
 

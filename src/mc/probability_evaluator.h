@@ -55,29 +55,20 @@ class ProbabilityEvaluator {
 
   /// Builds a per-query pool of shared samples for batched decisions, or
   /// null when the implementation does not integrate by sampling from the
-  /// query Gaussian (exact evaluators; the default). Phase-3 drivers call
-  /// this once per query — on the submitting thread, before any
-  /// DecideBatchBounded fan-out — and pass the pool to every chunk of it,
-  /// so the O(samples · d²) draw happens once per query instead of once per
+  /// query Gaussian (exact evaluators; the default). `variant`
+  /// (core::PrqOptions::pool_variant) selects the paper's pseudo-random
+  /// draws or a randomized-Halton QMC pool. Phase-3 drivers call this once
+  /// per query — on the submitting thread, before any DecideBatchBounded
+  /// fan-out — and pass the pool to every chunk of it, so the
+  /// O(samples · d²) draw happens once per query instead of once per
   /// candidate. Sampling evaluators should draw the pool from a dedicated
   /// RNG stream so pool construction never perturbs their per-candidate
   /// stream.
   virtual std::shared_ptr<const SamplePool> MakeSamplePool(
-      const core::GaussianDistribution& query) {
-    (void)query;
-    return nullptr;
-  }
-
-  /// Variant-selecting MakeSamplePool (core::PrqOptions::pool_variant):
-  /// kPseudoRandom must reproduce the one-argument overload bit-for-bit;
-  /// kHalton requests a randomized-Halton QMC pool. The default delegates
-  /// to the one-argument overload — exact evaluators return null for every
-  /// variant, and a sampling evaluator that has not opted in keeps its
-  /// native pool.
-  virtual std::shared_ptr<const SamplePool> MakeSamplePool(
       const core::GaussianDistribution& query, PoolVariant variant) {
+    (void)query;
     (void)variant;
-    return MakeSamplePool(query);
+    return nullptr;
   }
 
   /// Batched Phase-3 decisions: sets states[i] to kDecideIncluded iff the

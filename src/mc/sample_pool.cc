@@ -167,24 +167,6 @@ int WilsonCompare(uint64_t hits, uint64_t n, double theta, double z) {
 }
 
 SamplePool::SamplePool(const core::GaussianDistribution& query,
-                       uint64_t samples, rng::Random& random)
-    : dim_(query.dim()),
-      samples_(std::max<uint64_t>(samples, 1)),
-      data_(dim_ * samples_),
-      cell_begin_{0, samples_} {
-  ScopedTimer build_timer(McMetrics::Get().pool_build_nanos);
-  // The draw order matches a per-candidate evaluator's: sample by sample.
-  // Only the storage is transposed, one scatter per coordinate.
-  la::Vector x(dim_);
-  for (uint64_t i = 0; i < samples_; ++i) {
-    query.Sample(random, x);
-    for (size_t a = 0; a < dim_; ++a) data_[a * samples_ + i] = x[a];
-  }
-  McMetrics::Get().pool_builds->Add(1);
-  McMetrics::Get().pool_samples_drawn->Add(samples_);
-}
-
-SamplePool::SamplePool(const core::GaussianDistribution& query,
                        uint64_t samples, uint64_t seed, PoolVariant variant,
                        PoolLayout layout)
     : dim_(query.dim()),
@@ -195,8 +177,8 @@ SamplePool::SamplePool(const core::GaussianDistribution& query,
   if (variant == PoolVariant::kHalton &&
       dim_ <= rng::HaltonSequence::kMaxDim) {
     // Randomized-Halton QMC: low-discrepancy uniforms → standard-normal
-    // quantiles → the query's q + L·z transform, exactly the
-    // QuasiMonteCarloEvaluator mapping, scattered into the SoA layout.
+    // quantiles → the query's q + L·z transform, scattered into the SoA
+    // layout.
     rng::HaltonSequence halton(dim_, seed);
     la::Vector u(dim_), z(dim_), x(dim_);
     for (uint64_t i = 0; i < samples_; ++i) {
@@ -210,8 +192,9 @@ SamplePool::SamplePool(const core::GaussianDistribution& query,
       for (size_t a = 0; a < dim_; ++a) data_[a * samples_ + i] = x[a];
     }
   } else {
-    // Pseudo-random draws, bit-identical to the stream constructor seeded
-    // the same way (also the d > kMaxDim fallback for kHalton).
+    // Pseudo-random draws in stream order, sample by sample (also the
+    // d > kMaxDim fallback for kHalton). Only the storage is transposed,
+    // one scatter per coordinate.
     rng::Random random(seed);
     la::Vector x(dim_);
     for (uint64_t i = 0; i < samples_; ++i) {

@@ -69,18 +69,14 @@ uint64_t CanonicalDoubleBits(double v);
 /// candidate — results are bit-identical for any thread count.
 class SamplePool {
  public:
-  /// Draws `samples` (at least 1 is enforced) points from `query` using
-  /// `random`; O(samples · d²) once, the cost this class amortizes.
-  SamplePool(const core::GaussianDistribution& query, uint64_t samples,
-             rng::Random& random);
-
-  /// Variant-selecting constructor, seeded instead of stream-fed so both
+  /// Draws `samples` (at least 1 is enforced) points from `query`;
+  /// O(samples · d²) once, the cost this class amortizes. Seeded, so both
   /// variants are a pure function of (seed, query):
-  /// PoolVariant::kPseudoRandom draws from rng::Random(seed) —
-  /// bit-identical to the stream constructor above with the same seed —
-  /// and PoolVariant::kHalton draws a randomized Halton sequence (rotation
-  /// seeded with `seed`) mapped through the standard-normal quantile and
-  /// the query's standard transform. Dimensions above
+  /// PoolVariant::kPseudoRandom draws from rng::Random(seed) — the stream a
+  /// per-candidate evaluator seeded the same way would read, sample by
+  /// sample — and PoolVariant::kHalton draws a randomized Halton sequence
+  /// (rotation seeded with `seed`) mapped through the standard-normal
+  /// quantile and the query's standard transform. Dimensions above
   /// rng::HaltonSequence::kMaxDim fall back to kPseudoRandom.
   ///
   /// `layout` only permutes the drawn samples (see PoolLayout): both

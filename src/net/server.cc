@@ -5,13 +5,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cstring>
@@ -40,9 +36,9 @@ Status SetNonBlocking(int fd) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Event-loop backends. The abstraction is level-triggered readiness with
-// per-fd read/write interest — the least common denominator of epoll and
-// poll, which keeps the loop logic identical across both.
+// The event loop's readiness source: epoll, level-triggered, with per-fd
+// read/write interest — O(ready) wakeups instead of O(connections) scans,
+// the fan-in this front-end exists for.
 
 struct PollerEvent {
   int fd = -1;
@@ -51,85 +47,27 @@ struct PollerEvent {
   bool error = false;
 };
 
-class Server::Poller {
+class Server::EpollPoller {
  public:
-  virtual ~Poller() = default;
-  virtual void Add(int fd, bool read, bool write) = 0;
-  virtual void Mod(int fd, bool read, bool write) = 0;
-  virtual void Del(int fd) = 0;
-  /// Fills `events`; returns the count (0 on timeout, -1 on EINTR).
-  virtual int Wait(std::vector<PollerEvent>* events, int timeout_ms) = 0;
-};
+  /// Takes ownership of an epoll instance (epoll_create1's result).
+  explicit EpollPoller(int epfd) : epfd_(epfd) {}
+  ~EpollPoller() { ::close(epfd_); }
 
-/// poll(2): portable fallback, also selectable at runtime (force_poll) so
-/// both implementations stay covered by the same test battery.
-class Server::PollPoller : public Server::Poller {
- public:
-  void Add(int fd, bool read, bool write) override {
-    interest_[fd] = Events(read, write);
-  }
-  void Mod(int fd, bool read, bool write) override {
-    interest_[fd] = Events(read, write);
-  }
-  void Del(int fd) override { interest_.erase(fd); }
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
 
-  int Wait(std::vector<PollerEvent>* events, int timeout_ms) override {
-    fds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return n;
-    events->clear();
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollerEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return static_cast<int>(events->size());
-  }
-
- private:
-  static short Events(bool read, bool write) {
-    short mask = 0;
-    if (read) mask |= POLLIN;
-    if (write) mask |= POLLOUT;
-    return mask;
-  }
-
-  std::unordered_map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-/// epoll, level-triggered: O(ready) wakeups instead of O(connections)
-/// scans — the fan-in this front-end exists for.
-class Server::EpollPoller : public Server::Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  void Add(int fd, bool read, bool write) override {
+  void Add(int fd, bool read, bool write) {
     epoll_event event = Event(fd, read, write);
     ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &event);
   }
-  void Mod(int fd, bool read, bool write) override {
+  void Mod(int fd, bool read, bool write) {
     epoll_event event = Event(fd, read, write);
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &event);
   }
-  void Del(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Del(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  int Wait(std::vector<PollerEvent>* events, int timeout_ms) override {
+  /// Fills `events`; returns the count (0 on timeout, -1 on EINTR).
+  int Wait(std::vector<PollerEvent>* events, int timeout_ms) {
     const int n = ::epoll_wait(epfd_, raw_, kMaxEvents, timeout_ms);
     if (n <= 0) return n;
     events->clear();
@@ -154,10 +92,9 @@ class Server::EpollPoller : public Server::Poller {
     return event;
   }
 
-  int epfd_;
+  const int epfd_;
   epoll_event raw_[kMaxEvents];
 };
-#endif  // __linux__
 
 // ---------------------------------------------------------------------------
 
@@ -269,13 +206,9 @@ Status Server::Start() {
   GPRQ_RETURN_NOT_OK(SetNonBlocking(wake_read_fd_));
   GPRQ_RETURN_NOT_OK(SetNonBlocking(wake_write_fd_));
 
-#ifdef __linux__
-  if (!options_.force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) poller_ = std::move(epoll);
-  }
-#endif
-  if (poller_ == nullptr) poller_ = std::make_unique<PollPoller>();
+  const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd < 0) return Errno("epoll_create1");
+  poller_ = std::make_unique<EpollPoller>(epfd);
   poller_->Add(listen_fd_, /*read=*/true, /*write=*/false);
   poller_->Add(wake_read_fd_, /*read=*/true, /*write=*/false);
 

@@ -9,9 +9,8 @@
 //
 // Threading model (see DESIGN.md §11):
 //  * One event-loop thread owns every socket: it accepts, reads, frames,
-//    decodes, and writes. epoll on Linux, poll(2) elsewhere (or with
-//    ServerOptions::force_poll — the fallback is always compiled and
-//    testable).
+//    decodes, and writes, woken by epoll (the tree builds on Linux only:
+//    the socket code relies on MSG_NOSIGNAL).
 //  * A small pool of submitter threads executes decoded queries against
 //    the backend (ExecuteQueryBounded is a blocking call; it must never
 //    run on the loop thread). Finished responses post to a completion
@@ -75,8 +74,6 @@ struct ServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Connections beyond this are accepted and immediately closed.
   size_t max_connections = 1024;
-  /// Use the poll(2) event loop even where epoll is available.
-  bool force_poll = false;
   /// retry_after_ms answered to queries arriving while draining.
   double drain_retry_after_seconds = 1.0;
 
@@ -88,7 +85,7 @@ class Server {
   /// Serves `backend` (not owned; it must outlive the server). Fails with
   /// InvalidArgument for a null backend or one whose Describe() fails (a
   /// detached executor), and with IoError when the address cannot be
-  /// bound. Binds, listens and starts the threads before returning;
+  /// bound or the epoll instance cannot be created. Binds, listens and starts the threads before returning;
   /// submit_threads is forced to 1 unless backend->concurrent_submitters().
   static Result<std::unique_ptr<Server>> Serve(core::QueryBackend* backend,
                                                const ServerOptions& options);
@@ -164,11 +161,7 @@ class Server {
     obs::Histogram* request_nanos;
   };
 
-  class Poller;
-  class PollPoller;
-#ifdef __linux__
   class EpollPoller;
-#endif
 
   Server(core::QueryBackend* backend, core::BackendInfo info,
          const ServerOptions& options);
@@ -209,7 +202,7 @@ class Server {
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
-  std::unique_ptr<Poller> poller_;
+  std::unique_ptr<EpollPoller> poller_;
 
   std::thread loop_;
   std::vector<std::thread> submitters_;

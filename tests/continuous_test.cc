@@ -2,7 +2,7 @@
 // answer a fresh engine run would, while the buffer saves index work on
 // overlapping consecutive queries.
 
-#include "core/continuous.h"
+#include "experiments/continuous.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "index/str_bulk_load.h"
 #include "mc/exact_evaluator.h"
+#include "mc/monte_carlo.h"
 #include "workload/generators.h"
 
 namespace gprq::core {
@@ -88,6 +89,38 @@ TEST(ContinuousMonitor, MatchesFreshEngineAlongATrajectory) {
     EXPECT_LT(monitor.monitor_stats().refetches,
               monitor.monitor_stats().ticks)
         << StrategyName(mask);
+  }
+}
+
+TEST(ContinuousMonitor, MatchesFreshEngineUnderMonteCarlo) {
+  // A sampling evaluator decides from its per-query pool, so the monitor
+  // and a fresh engine agree only if both run the same Phase-3 body.
+  auto fixture = Fixture::Make(6000, 2);
+  const PrqEngine engine(&fixture.tree);
+
+  for (double theta : {0.01, 0.1, 0.3}) {
+    ContinuousPrqMonitor::Options options;
+    options.buffer_margin = 80.0;
+    ContinuousPrqMonitor monitor(&fixture.tree, options);
+    mc::MonteCarloEvaluator monitor_mc({.samples = 30000, .seed = 7});
+    mc::MonteCarloEvaluator engine_mc({.samples = 30000, .seed = 7});
+
+    for (int tick = 0; tick < 15; ++tick) {
+      const double x = 200.0 + 40.0 * tick;
+      const double y = 300.0 + 25.0 * tick;
+      const double gamma = (tick % 3 == 0) ? 2.0 : 10.0;
+      const auto query = QueryAt(x, y, gamma, 25.0, theta);
+
+      auto monitored = monitor.Update(query, &monitor_mc);
+      ASSERT_TRUE(monitored.ok());
+      auto fresh = engine.Execute(query, PrqOptions(), &engine_mc);
+      ASSERT_TRUE(fresh.ok());
+
+      std::vector<index::ObjectId> a = *monitored, b = *fresh;
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      EXPECT_EQ(a, b) << "theta " << theta << " tick " << tick;
+    }
   }
 }
 

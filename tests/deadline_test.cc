@@ -120,9 +120,10 @@ class CountingEvaluator : public mc::ProbabilityEvaluator {
     return inner_.QualificationProbability(query, object, delta);
   }
   std::shared_ptr<const mc::SamplePool> MakeSamplePool(
-      const core::GaussianDistribution& query) override {
+      const core::GaussianDistribution& query,
+      mc::PoolVariant variant) override {
     ++pool_calls;
-    return inner_.MakeSamplePool(query);
+    return inner_.MakeSamplePool(query, variant);
   }
   const char* name() const override { return "counting"; }
 

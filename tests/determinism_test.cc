@@ -151,7 +151,8 @@ TEST(Determinism, PerCandidateProbabilitiesComeFromTheQueryPool) {
                       .RunFilterPhases(query, core::PrqOptions(), &outcome,
                                        &stats)
                       .ok());
-      const auto pool = evaluator0->MakeSamplePool(query.query_object);
+      const auto pool = evaluator0->MakeSamplePool(
+          query.query_object, mc::PoolVariant::kPseudoRandom);
       ASSERT_NE(pool, nullptr);
       std::vector<double> per_candidate;
       for (const auto& [point, id] : outcome.survivors) {

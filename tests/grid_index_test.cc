@@ -1,6 +1,6 @@
 // Tests for the uniform grid index (differential against linear scan).
 
-#include "index/grid_index.h"
+#include "experiments/grid_index.h"
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
 // Tests for the grid histogram and the PRQ candidate-count estimator.
 
-#include "core/histogram.h"
+#include "experiments/histogram.h"
 
 #include <gtest/gtest.h>
 

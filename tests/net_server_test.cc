@@ -3,8 +3,8 @@
 // mid-frame disconnects — each a clean ERROR frame or connection close
 // with gprq.net.decode_errors incremented, never a crash), bounded
 // pipelining, the STATS frame, read/write failpoints degrading exactly
-// one connection, graceful drain, the poll(2) fallback event loop, and
-// the one submitter rule (the backend's concurrent_submitters()).
+// one connection, graceful drain, and the one submitter rule (the
+// backend's concurrent_submitters()).
 
 #include "net/server.h"
 
@@ -337,18 +337,6 @@ TEST(NetServer, PipelinedRequestsAllAnsweredUnderInflightCap) {
   EXPECT_EQ(*answered.begin(), 1u);
   EXPECT_EQ(*answered.rbegin(), kRequests);
   ::close(fd);
-}
-
-TEST(NetServer, PollFallbackServesQueries) {
-  ServerOptions options;
-  options.force_poll = true;
-  auto backend = ServedBackend::Make(options);
-  auto client = Client::Connect("127.0.0.1", backend.server->port());
-  ASSERT_TRUE(client.ok());
-  core::PrqOptions query_options;
-  auto result = (*client)->Query(backend.Query(5), query_options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->result.status.ok());
 }
 
 // -- failpoints -------------------------------------------------------------

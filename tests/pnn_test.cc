@@ -1,7 +1,7 @@
 // Tests for the probabilistic nearest-neighbor extension (Monte-Carlo
 // Voronoi masses).
 
-#include "core/pnn.h"
+#include "experiments/pnn.h"
 
 #include <gtest/gtest.h>
 

@@ -44,6 +44,9 @@ uint64_t Counter(const char* name) {
   return obs::MetricRegistry::Global().GetCounter(name)->Value();
 }
 
+// The paper's pseudo-random pool, the default PrqOptions::pool_variant.
+constexpr PoolVariant kIid = PoolVariant::kPseudoRandom;
+
 std::vector<double> Axis(const SamplePool& pool, size_t a) {
   return std::vector<double>(pool.axis(a), pool.axis(a) + pool.size());
 }
@@ -54,8 +57,8 @@ TEST(PoolMemo, HitReturnsTheSamePoolObject) {
   const uint64_t hits = Counter("gprq.mc.pool_cache.hits");
   const uint64_t misses = Counter("gprq.mc.pool_cache.misses");
   const uint64_t builds = Counter("gprq.mc.pool_builds");
-  const auto first = evaluator.MakeSamplePool(g);
-  const auto second = evaluator.MakeSamplePool(g);
+  const auto first = evaluator.MakeSamplePool(g, kIid);
+  const auto second = evaluator.MakeSamplePool(g, kIid);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(Counter("gprq.mc.pool_cache.misses") - misses, 1u);
   EXPECT_EQ(Counter("gprq.mc.pool_cache.hits") - hits, 1u);
@@ -95,26 +98,26 @@ TEST(PoolMemo, NegativeAndPositiveZeroShareAPool) {
   const la::Matrix cov{{2.0, 0.0}, {0.0, 1.0}};
   const la::Matrix negative_cov{{2.0, -0.0}, {-0.0, 1.0}};
   const auto positive =
-      evaluator.MakeSamplePool(MakeGaussian(la::Vector{0.0, 3.0}, cov));
+      evaluator.MakeSamplePool(MakeGaussian(la::Vector{0.0, 3.0}, cov), kIid);
   const auto negative = evaluator.MakeSamplePool(
-      MakeGaussian(la::Vector{-0.0, 3.0}, negative_cov));
+      MakeGaussian(la::Vector{-0.0, 3.0}, negative_cov), kIid);
   EXPECT_EQ(positive.get(), negative.get());
 }
 
 TEST(PoolMemo, AnyOtherKeyPartGetsItsOwnPool) {
   MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
   const auto g = Oblique();
-  const auto base = evaluator.MakeSamplePool(g);
+  const auto base = evaluator.MakeSamplePool(g, kIid);
   la::Matrix bumped = g.covariance();
   bumped(0, 0) = std::nextafter(bumped(0, 0), 10.0);  // one covariance bit
   const uint64_t builds = Counter("gprq.mc.pool_builds");
   const auto other_cov =
-      evaluator.MakeSamplePool(MakeGaussian(g.mean(), bumped));
-  const auto other_mean = evaluator.MakeSamplePool(Oblique(1e-12));
+      evaluator.MakeSamplePool(MakeGaussian(g.mean(), bumped), kIid);
+  const auto other_mean = evaluator.MakeSamplePool(Oblique(1e-12), kIid);
   const auto other_variant = evaluator.MakeSamplePool(g, PoolVariant::kHalton);
   // Only the last request is kept, so the base distribution draws again,
   // into the same samples.
-  const auto again = evaluator.MakeSamplePool(g);
+  const auto again = evaluator.MakeSamplePool(g, kIid);
   EXPECT_EQ(Counter("gprq.mc.pool_builds") - builds, 4u);
   EXPECT_NE(again.get(), base.get());
   EXPECT_EQ(Axis(*again, 0), Axis(*base, 0));
@@ -124,8 +127,8 @@ TEST(PoolMemo, AnyOtherKeyPartGetsItsOwnPool) {
   // Seed and n belong to the evaluator: another one draws other samples.
   MonteCarloEvaluator other_seed({.samples = 3000, .seed = 12});
   MonteCarloEvaluator other_n({.samples = 3001, .seed = 11});
-  EXPECT_NE(Axis(*other_seed.MakeSamplePool(g), 0), Axis(*base, 0));
-  EXPECT_EQ(other_n.MakeSamplePool(g)->size(), 3001u);
+  EXPECT_NE(Axis(*other_seed.MakeSamplePool(g, kIid), 0), Axis(*base, 0));
+  EXPECT_EQ(other_n.MakeSamplePool(g, kIid)->size(), 3001u);
 }
 
 TEST(PoolMemo, ConcurrentRequestsBuildOnce) {
@@ -140,7 +143,7 @@ TEST(PoolMemo, ConcurrentRequestsBuildOnce) {
     threads.emplace_back([&, t] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      pools[t] = evaluator.MakeSamplePool(g);
+      pools[t] = evaluator.MakeSamplePool(g, kIid);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -157,14 +160,15 @@ TEST(PoolMemo, ADifferentRequestReleasesTheKeptPool) {
   {
     MonteCarloEvaluator evaluator({.samples = 3000, .seed = 11});
     const std::weak_ptr<const SamplePool> first =
-        evaluator.MakeSamplePool(Oblique());
+        evaluator.MakeSamplePool(Oblique(), kIid);
     // No query holds it now; only the evaluator does, and serves it again.
     ASSERT_FALSE(first.expired());
-    EXPECT_EQ(evaluator.MakeSamplePool(Oblique()).get(), first.lock().get());
-    held = evaluator.MakeSamplePool(Oblique(1.0));
+    EXPECT_EQ(evaluator.MakeSamplePool(Oblique(), kIid).get(),
+              first.lock().get());
+    held = evaluator.MakeSamplePool(Oblique(1.0), kIid);
     EXPECT_TRUE(first.expired());
     // A pool a query still holds outlives the release.
-    last = evaluator.MakeSamplePool(Oblique(2.0));
+    last = evaluator.MakeSamplePool(Oblique(2.0), kIid);
     EXPECT_NE(last.lock().get(), held.get());
     EXPECT_EQ(held->size(), 3000u);
   }

@@ -118,17 +118,6 @@ TEST(QmcPool, DifferentSeedsGiveDifferentHaltonRandomization) {
   EXPECT_FALSE(PoolsBitIdentical(*p1, *p2));
 }
 
-TEST(QmcPool, PseudoRandomVariantMatchesLegacyOverloadBitForBit) {
-  const auto g = MakeGaussian(3, 23);
-  MonteCarloEvaluator a(MonteCarloOptions{.samples = 2048, .seed = 7});
-  MonteCarloEvaluator b(MonteCarloOptions{.samples = 2048, .seed = 7});
-  const auto legacy = a.MakeSamplePool(g);
-  const auto variant = b.MakeSamplePool(g, PoolVariant::kPseudoRandom);
-  ASSERT_NE(legacy, nullptr);
-  ASSERT_NE(variant, nullptr);
-  EXPECT_TRUE(PoolsBitIdentical(*legacy, *variant));
-}
-
 TEST(QmcPool, HaltonDiffersFromPseudoRandom) {
   const auto g = MakeGaussian(2, 24);
   MonteCarloEvaluator e(MonteCarloOptions{.samples = 1024, .seed = 7});

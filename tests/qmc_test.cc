@@ -1,6 +1,7 @@
 // Tests for the randomized Halton sequence and the quasi-Monte-Carlo
-// evaluator: low discrepancy, unbiasedness, and better accuracy than plain
-// Monte Carlo at equal sample budgets.
+// estimate of a PoolVariant::kHalton sample pool: low discrepancy,
+// unbiasedness, and better accuracy than plain Monte Carlo at equal sample
+// budgets.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +9,21 @@
 
 #include "mc/exact_evaluator.h"
 #include "mc/monte_carlo.h"
-#include "mc/qmc_evaluator.h"
+#include "mc/sample_pool.h"
 #include "rng/halton.h"
 #include "workload/generators.h"
 
 namespace gprq {
 namespace {
+
+/// The randomized-Halton QMC qualification probability: the whole-pool
+/// estimate of a kHalton pool of `samples` points seeded with `seed`.
+double QmcProbability(const core::GaussianDistribution& g, uint64_t samples,
+                      uint64_t seed, const la::Vector& object, double delta) {
+  return mc::SamplePool(g, samples, seed, mc::PoolVariant::kHalton)
+      .EstimateProbability(object, delta)
+      .probability;
+}
 
 TEST(Halton, PointsInUnitCube) {
   rng::HaltonSequence halton(5, 3);
@@ -68,11 +78,10 @@ TEST(Qmc, MatchesExactProbabilities) {
       la::Vector{0.0, 0.0}, workload::PaperCovariance2D(10.0));
   ASSERT_TRUE(g.ok());
   mc::ImhofEvaluator exact;
-  mc::QuasiMonteCarloEvaluator qmc({.samples = 50000, .seed = 5});
   for (double offset : {0.0, 15.0, 35.0}) {
     const la::Vector o{offset, -offset * 0.3};
     const double truth = exact.QualificationProbability(*g, o, 25.0);
-    EXPECT_NEAR(qmc.QualificationProbability(*g, o, 25.0), truth, 0.004)
+    EXPECT_NEAR(QmcProbability(*g, 50000, 5, o, 25.0), truth, 0.004)
         << "offset " << offset;
   }
 }
@@ -92,9 +101,9 @@ TEST(Qmc, BeatsPlainMonteCarloAtEqualBudget) {
       const la::Vector o{offset, offset * 0.5};
       const double truth = exact.QualificationProbability(*g, o, 25.0);
       mc::MonteCarloEvaluator mc({.samples = budget, .seed = seed});
-      mc::QuasiMonteCarloEvaluator qmc({.samples = budget, .seed = seed});
       mc_err += std::abs(mc.QualificationProbability(*g, o, 25.0) - truth);
-      qmc_err += std::abs(qmc.QualificationProbability(*g, o, 25.0) - truth);
+      qmc_err +=
+          std::abs(QmcProbability(*g, budget, seed, o, 25.0) - truth);
     }
   }
   EXPECT_LT(qmc_err, mc_err * 0.7)
@@ -107,13 +116,12 @@ TEST(Qmc, NineDimensionalAgreement) {
   auto g = core::GaussianDistribution::Create(la::Vector(9), cov);
   ASSERT_TRUE(g.ok());
   mc::ImhofEvaluator exact;
-  mc::QuasiMonteCarloEvaluator qmc({.samples = 50000, .seed = 9});
   la::Vector o(9);
   o[2] = 1.0;
   o[7] = -0.5;
   for (double delta : {1.5, 3.5}) {
     const double truth = exact.QualificationProbability(*g, o, delta);
-    EXPECT_NEAR(qmc.QualificationProbability(*g, o, delta), truth, 0.006)
+    EXPECT_NEAR(QmcProbability(*g, 50000, 9, o, delta), truth, 0.006)
         << "delta " << delta;
   }
 }

@@ -1,7 +1,7 @@
 // Tests for the top-k probability-ranking extension (threshold-free
 // probabilistic NN flavor of the paper's future work).
 
-#include "core/ranking.h"
+#include "experiments/ranking.h"
 
 #include <gtest/gtest.h>
 

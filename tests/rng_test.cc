@@ -1,14 +1,11 @@
-// Tests for the PRNG and the multivariate Gaussian sampler (the RANDLIB
-// replacement feeding the Monte-Carlo integrator).
+// Tests for the PRNG (the RANDLIB replacement feeding the Monte-Carlo
+// integrator; GaussianDistribution::Sample is covered in gaussian_test).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "la/cholesky.h"
-#include "rng/mvn_sampler.h"
 #include "rng/random.h"
-#include "workload/generators.h"
 
 namespace gprq::rng {
 namespace {
@@ -93,45 +90,6 @@ TEST(Random, ScaledGaussian) {
   const double mean = sum / n;
   EXPECT_NEAR(mean, 10.0, 0.05);
   EXPECT_NEAR(sum_sq / n - mean * mean, 9.0, 0.2);
-}
-
-TEST(MvnSampler, RejectsBadCovariance) {
-  EXPECT_FALSE(MvnSampler::Create(la::Vector{0.0, 0.0},
-                                  la::Matrix{{1.0, 2.0}, {2.0, 1.0}})
-                   .ok());
-  EXPECT_FALSE(
-      MvnSampler::Create(la::Vector{0.0}, la::Matrix{{1.0, 0.0}, {0.0, 1.0}})
-          .ok());
-}
-
-TEST(MvnSampler, EmpiricalMeanAndCovarianceMatchTarget) {
-  const la::Vector mean{1.0, -2.0, 0.5};
-  const la::Matrix cov = workload::RandomRotatedCovariance(
-      la::Vector{1.0, 2.0, 0.5}, 42);
-  auto sampler = MvnSampler::Create(mean, cov);
-  ASSERT_TRUE(sampler.ok());
-
-  Random random(3);
-  const int n = 200000;
-  la::Vector sum(3);
-  la::Matrix sum_outer(3, 3);
-  la::Vector x;
-  for (int i = 0; i < n; ++i) {
-    sampler->Sample(random, x);
-    sum += x;
-    for (size_t a = 0; a < 3; ++a) {
-      for (size_t b = 0; b < 3; ++b) sum_outer(a, b) += x[a] * x[b];
-    }
-  }
-  la::Vector emp_mean = sum * (1.0 / n);
-  for (size_t a = 0; a < 3; ++a) {
-    EXPECT_NEAR(emp_mean[a], mean[a], 0.03) << "component " << a;
-    for (size_t b = 0; b < 3; ++b) {
-      const double emp_cov =
-          sum_outer(a, b) / n - emp_mean[a] * emp_mean[b];
-      EXPECT_NEAR(emp_cov, cov(a, b), 0.06) << "cov(" << a << "," << b << ")";
-    }
-  }
 }
 
 }  // namespace

@@ -76,8 +76,7 @@ TEST(SamplePool, AgreesWithImhofAcrossDimensionsAndCovariances) {
       for (size_t i = 0; i < d; ++i) mean[i] = static_cast<double>(i);
       const auto g = MakeGaussian(std::move(mean), std::move(cov));
 
-      rng::Random random(99 + d);
-      const SamplePool pool(g, 50000, random);
+      const SamplePool pool(g, 50000, 99 + d, PoolVariant::kPseudoRandom);
       ASSERT_EQ(pool.dim(), d);
       ASSERT_EQ(pool.size(), 50000u);
 
@@ -99,8 +98,7 @@ TEST(SamplePool, AgreesWithImhofAcrossDimensionsAndCovariances) {
 
 TEST(SamplePool, CountWithinRangesPartitionTheFullCount) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0}, CorrelatedCovariance(2, 5));
-  rng::Random random(7);
-  const SamplePool pool(g, 10000, random);
+  const SamplePool pool(g, 10000, 7, PoolVariant::kPseudoRandom);
   const la::Vector object{0.5, -0.25};
   const double delta_sq = 2.25;
   const uint64_t full = pool.CountWithin(object, delta_sq, 0, pool.size());
@@ -118,8 +116,7 @@ TEST(SamplePool, CountWithinRangesPartitionTheFullCount) {
 TEST(SamplePool, DecideMatchesFullCountAwayFromBoundary) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0},
                               DiagonalCovariance(2));
-  rng::Random random(11);
-  const SamplePool pool(g, 100000, random);
+  const SamplePool pool(g, 100000, 11, PoolVariant::kPseudoRandom);
   for (const double r : {0.0, 1.0, 3.0, 8.0, 20.0}) {
     const la::Vector object{r, 0.3 * r};
     const double delta = 2.0;
@@ -139,8 +136,7 @@ TEST(SamplePool, DecideMatchesFullCountAwayFromBoundary) {
 TEST(SamplePool, DecideUndecidedFallsBackToPointEstimate) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0},
                               la::Matrix::Identity(2) * 4.0);
-  rng::Random random(13);
-  const SamplePool pool(g, 4096, random);
+  const SamplePool pool(g, 4096, 13, PoolVariant::kPseudoRandom);
   const la::Vector object{3.0, 0.0};
   const double delta = 3.0;
   // θ set to the pool's own estimate: the interval cannot separate.
@@ -151,11 +147,10 @@ TEST(SamplePool, DecideUndecidedFallsBackToPointEstimate) {
   EXPECT_EQ(decision.qualifies, p >= p);  // point-estimate fallback: true
 }
 
-TEST(SamplePool, DeterministicForAGivenStream) {
+TEST(SamplePool, DeterministicForAGivenSeed) {
   const auto g = MakeGaussian(la::Vector{1.0, -2.0}, CorrelatedCovariance(2, 3));
-  rng::Random random_a(21), random_b(21);
-  const SamplePool a(g, 5000, random_a);
-  const SamplePool b(g, 5000, random_b);
+  const SamplePool a(g, 5000, 21, PoolVariant::kPseudoRandom);
+  const SamplePool b(g, 5000, 21, PoolVariant::kPseudoRandom);
   const la::Vector object{1.5, -1.0};
   EXPECT_EQ(a.CountWithin(object, 4.0, 0, a.size()),
             b.CountWithin(object, 4.0, 0, b.size()));
@@ -166,8 +161,7 @@ TEST(SamplePool, DeterministicForAGivenStream) {
 TEST(SamplePool, EdgeCases) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0},
                               la::Matrix::Identity(2));
-  rng::Random random(31);
-  const SamplePool pool(g, 10000, random);
+  const SamplePool pool(g, 10000, 31, PoolVariant::kPseudoRandom);
 
   // δ = 0: the δ-ball has measure zero; no sample hits it.
   const la::Vector at_mean{0.0, 0.0};
@@ -178,8 +172,7 @@ TEST(SamplePool, EdgeCases) {
   ExpectAgreesWithExact(g, pool, at_mean, 1.0);
 
   // A zero-sample request is clamped to one sample, never an empty pool.
-  rng::Random random2(32);
-  const SamplePool tiny(g, 0, random2);
+  const SamplePool tiny(g, 0, 32, PoolVariant::kPseudoRandom);
   EXPECT_EQ(tiny.size(), 1u);
   EXPECT_NO_FATAL_FAILURE(tiny.Decide(at_mean, 1.0, 0.5));
 }
@@ -211,8 +204,10 @@ TEST(QueryFingerprint, CanonicalizesNegativeZeroAndNaN) {
 
   // The determinism contract downstream of the fingerprint: evaluators
   // seeded with it build identical pools for both encodings.
-  rng::Random ra(QueryFingerprint(plus)), rb(QueryFingerprint(minus));
-  const SamplePool pa(plus, 1000, ra), pb(minus, 1000, rb);
+  const SamplePool pa(plus, 1000, QueryFingerprint(plus),
+                      PoolVariant::kPseudoRandom);
+  const SamplePool pb(minus, 1000, QueryFingerprint(minus),
+                      PoolVariant::kPseudoRandom);
   const la::Vector object{0.3, 1.7};
   EXPECT_EQ(pa.CountWithin(object, 2.0, 0, pa.size()),
             pb.CountWithin(object, 2.0, 0, pb.size()));
@@ -229,7 +224,7 @@ TEST(DecideBatch, MonteCarloPooledMatchesPoolCounts) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0},
                               DiagonalCovariance(2));
   MonteCarloEvaluator evaluator({.samples = 20000, .seed = 3, .dim = 2});
-  const auto pool = evaluator.MakeSamplePool(g);
+  const auto pool = evaluator.MakeSamplePool(g, PoolVariant::kPseudoRandom);
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(pool->size(), 20000u);
 
@@ -253,8 +248,9 @@ TEST(DecideBatch, ZeroAndOneCandidates) {
                               la::Matrix::Identity(2));
   MonteCarloEvaluator mc({.samples = 5000, .seed = 5});
   AdaptiveMonteCarloEvaluator adaptive({.max_samples = 5000, .seed = 5});
-  const auto mc_pool = mc.MakeSamplePool(g);
-  const auto adaptive_pool = adaptive.MakeSamplePool(g);
+  const auto mc_pool = mc.MakeSamplePool(g, PoolVariant::kPseudoRandom);
+  const auto adaptive_pool =
+      adaptive.MakeSamplePool(g, PoolVariant::kPseudoRandom);
 
   // 0 candidates: valid call, nothing written.
   EXPECT_NO_FATAL_FAILURE(
@@ -281,7 +277,7 @@ TEST(DecideBatch, AdaptivePooledTracksSampleCounters) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0},
                               DiagonalCovariance(2));
   AdaptiveMonteCarloEvaluator adaptive({.max_samples = 100000, .seed = 9});
-  const auto pool = adaptive.MakeSamplePool(g);
+  const auto pool = adaptive.MakeSamplePool(g, PoolVariant::kPseudoRandom);
   ASSERT_NE(pool, nullptr);
 
   // Far-away objects separate after the first block: way below max_samples.
@@ -820,7 +816,7 @@ TEST(ExactCount, BudgetAndControlNeverChangeASettledAnswer) {
 TEST(ExactCount, BrownoutDecidesLikeTheUnloadedBatch) {
   const auto g = MakeGaussian(la::Vector{0.0, 0.0}, CorrelatedCovariance(2, 9));
   MonteCarloEvaluator evaluator({.samples = 30000, .seed = 7});
-  const auto pool = evaluator.MakeSamplePool(g);
+  const auto pool = evaluator.MakeSamplePool(g, PoolVariant::kPseudoRandom);
   rng::Random random(12);
   std::vector<la::Vector> objects;
   for (int i = 0; i < 300; ++i) {
@@ -858,7 +854,7 @@ TEST(ExactCount, ConcurrentChunksOnOnePoolMatchOneThread) {
   const auto g = MakeGaussian(la::Vector{10.0, -3.0, 4.0},
                               CorrelatedCovariance(3, 11));
   MonteCarloEvaluator builder({.samples = 20000, .seed = 7});
-  const auto pool = builder.MakeSamplePool(g);
+  const auto pool = builder.MakeSamplePool(g, PoolVariant::kPseudoRandom);
   ASSERT_EQ(pool->layout(), PoolLayout::kCells);
   rng::Random random(5);
   std::vector<la::Vector> objects;

@@ -225,8 +225,7 @@ TEST(SimdKernels, FusedCountAgreesWithPretransformedPool) {
     ASSERT_TRUE(chol.ok());
 
     const uint64_t n = 2048;
-    rng::Random pool_random(909 + dim);
-    const SamplePool pool(*g, n, pool_random);
+    const SamplePool pool(*g, n, 909 + dim, PoolVariant::kPseudoRandom);
 
     // Identical stream, raw draws: GaussianDistribution::Sample consumes
     // exactly dim NextGaussian() per sample, in coordinate order.
@@ -275,8 +274,7 @@ TEST(SimdKernels, SamplePoolCountWithinMatchesBlockwiseScalar) {
   la::Matrix cov = la::Matrix::Identity(dim) * 1.5;
   auto g = core::GaussianDistribution::Create(la::Vector(dim, 0.0), cov);
   ASSERT_TRUE(g.ok());
-  rng::Random random(321);
-  const SamplePool pool(*g, 10000, random);
+  const SamplePool pool(*g, 10000, 321, PoolVariant::kPseudoRandom);
   const la::Vector object{0.5, -0.25, 1.0};
   const CountFn scalar = CountKernel(KernelKind::kScalar);
 
@@ -310,8 +308,7 @@ TEST(SimdKernels, PoolDecisionsIdenticalUnderEveryKernel) {
   auto g = core::GaussianDistribution::Create(
       la::Vector(dim, 0.0), la::Matrix::Identity(dim) * 2.0);
   ASSERT_TRUE(g.ok());
-  rng::Random random(777);
-  const SamplePool pool(*g, 20000, random);
+  const SamplePool pool(*g, 20000, 777, PoolVariant::kPseudoRandom);
   const la::Vector object{1.0, -0.7};
   const double delta_sq = 3.1;
 

@@ -1,7 +1,7 @@
 // Cross-validation of the 2-D slice evaluator against the noncentral
 // chi-squared closed form (isotropic) and the Imhof evaluator (general).
 
-#include "mc/slice_evaluator.h"
+#include "experiments/slice_evaluator.h"
 
 #include <gtest/gtest.h>
 

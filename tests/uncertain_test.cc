@@ -2,7 +2,7 @@
 // too (the paper's Section VII future work), which reduces to the same
 // quadratic form with the summed covariance.
 
-#include "core/uncertain_targets.h"
+#include "experiments/uncertain_targets.h"
 
 #include <gtest/gtest.h>
 

@@ -25,9 +25,9 @@
 #include "common/flags.h"
 #include "core/engine.h"
 #include "net/client.h"
-#include "core/histogram.h"
-#include "core/pnn.h"
 #include "exec/batch_executor.h"
+#include "experiments/histogram.h"
+#include "experiments/pnn.h"
 #include "fault/failpoint.h"
 #include "index/paged_tree.h"
 #include "index/str_bulk_load.h"
@@ -265,8 +265,18 @@ Result<QuerySetup> LoadQuerySetup(const FlagSet& flags) {
                     core::PrqQuery{std::move(*g), *delta, *theta}};
 }
 
-/// Factory shared by the parallel paths: one evaluator per worker, with
-/// per-worker seeds for the Monte-Carlo kinds.
+/// The --evaluator flag: imhof (the default), mc or adaptive.
+Result<std::string> EvaluatorKindFromFlags(const FlagSet& flags) {
+  std::string kind = flags.GetString("evaluator", "imhof");
+  if (kind != "imhof" && kind != "mc" && kind != "adaptive") {
+    return Status::InvalidArgument("unknown evaluator '" + kind + "'");
+  }
+  return kind;
+}
+
+/// Builds every evaluator of the query commands: one per worker, with
+/// per-worker seeds for the Monte-Carlo kinds (a single-thread query takes
+/// worker 0's). `kind` is an EvaluatorKindFromFlags result.
 core::PrqEngine::EvaluatorFactory MakeFactory(const std::string& kind,
                                               uint64_t samples) {
   return [kind, samples](size_t worker)
@@ -305,15 +315,11 @@ int RunShardQuery(const FlagSet& flags) {
   if (!threads.ok()) return Fail(threads.status());
   auto strategy = StrategyFromFlags(flags);
   if (!strategy.ok()) return Fail(strategy.status());
-  const std::string evaluator_kind = flags.GetString("evaluator", "imhof");
-  if (evaluator_kind != "imhof" && evaluator_kind != "mc" &&
-      evaluator_kind != "adaptive") {
-    return Fail(
-        Status::InvalidArgument("unknown evaluator '" + evaluator_kind + "'"));
-  }
+  auto evaluator_kind = EvaluatorKindFromFlags(flags);
+  if (!evaluator_kind.ok()) return Fail(evaluator_kind.status());
 
   auto executor = exec::BatchExecutor::CreateDetached(
-      MakeFactory(evaluator_kind, static_cast<uint64_t>(*samples)),
+      MakeFactory(*evaluator_kind, static_cast<uint64_t>(*samples)),
       static_cast<size_t>(*threads > 0 ? *threads : 1));
   if (!executor.ok()) return Fail(executor.status());
   auto engine = shard::ShardedPrqEngine::Open(manifest_path, executor->get());
@@ -336,7 +342,7 @@ int RunShardQuery(const FlagSet& flags) {
               "%zu shards (%s)\n",
               query.delta, query.theta,
               static_cast<unsigned long long>((*engine)->total_points()),
-              (*engine)->num_shards(), evaluator_kind.c_str());
+              (*engine)->num_shards(), evaluator_kind->c_str());
   std::printf("  routed %llu/%llu shards, %zu index candidates, "
               "%zu integrations\n",
               static_cast<unsigned long long>(trace.shards_routed),
@@ -376,34 +382,16 @@ int RunQuery(const FlagSet& flags) {
   options.priority = static_cast<int>(*priority);
   if (flags.Has("qmc")) options.pool_variant = mc::PoolVariant::kHalton;
 
-  const std::string evaluator_kind = flags.GetString("evaluator", "imhof");
+  auto evaluator_kind = EvaluatorKindFromFlags(flags);
+  if (!evaluator_kind.ok()) return Fail(evaluator_kind.status());
+  const core::PrqEngine::EvaluatorFactory factory =
+      MakeFactory(*evaluator_kind, static_cast<uint64_t>(*samples));
   core::PrqStats stats;
-  const auto factory = [&](size_t worker)
-      -> std::unique_ptr<mc::ProbabilityEvaluator> {
-    if (evaluator_kind == "mc") {
-      return std::make_unique<mc::MonteCarloEvaluator>(
-          mc::MonteCarloOptions{
-              .samples = static_cast<uint64_t>(*samples),
-              .seed = 7 + worker});
-    }
-    if (evaluator_kind == "adaptive") {
-      return std::make_unique<mc::AdaptiveMonteCarloEvaluator>(
-          mc::AdaptiveMonteCarloOptions{
-              .max_samples = static_cast<uint64_t>(*samples),
-              .seed = 7 + worker});
-    }
-    return std::make_unique<mc::ImhofEvaluator>();
-  };
 
   if (flags.Has("result-cache")) {
     // Cache demonstration path: one executor with the semantic result
     // cache enabled, the same query twice (the repeat is an exact hit),
     // and optionally a narrower θ' served by containment.
-    if (evaluator_kind != "imhof" && evaluator_kind != "mc" &&
-        evaluator_kind != "adaptive") {
-      return Fail(Status::InvalidArgument("unknown evaluator '" +
-                                          evaluator_kind + "'"));
-    }
     auto theta2 = flags.GetDouble("theta2", 0.0);
     if (!theta2.ok()) return Fail(theta2.status());
     auto executor = exec::BatchExecutor::Create(
@@ -431,7 +419,7 @@ int RunQuery(const FlagSet& flags) {
 
     std::printf("PRQ(delta=%.6g, theta=%.6g) cached evaluator=%s\n",
                 setup->query.delta, setup->query.theta,
-                evaluator_kind.c_str());
+                evaluator_kind->c_str());
     auto first = run(setup->query, "run 1");
     if (!first.ok()) return Fail(first.status());
     auto second = run(setup->query, "run 2");
@@ -454,11 +442,6 @@ int RunQuery(const FlagSet& flags) {
   if (flags.Has("overload-policy")) {
     // Governed path: the query goes through admission control exactly as a
     // serving client's would. An empty spec means the policy defaults.
-    if (evaluator_kind != "imhof" && evaluator_kind != "mc" &&
-        evaluator_kind != "adaptive") {
-      return Fail(Status::InvalidArgument("unknown evaluator '" +
-                                          evaluator_kind + "'"));
-    }
     auto policy =
         exec::OverloadPolicy::FromSpec(flags.GetString("overload-policy"));
     if (!policy.ok()) return Fail(policy.status());
@@ -480,7 +463,7 @@ int RunQuery(const FlagSet& flags) {
     }
     std::printf("PRQ(delta=%.6g, theta=%.6g) governed evaluator=%s%s\n",
                 setup->query.delta, setup->query.theta,
-                evaluator_kind.c_str(),
+                evaluator_kind->c_str(),
                 trace.browned_out ? " [brownout]" : "");
     std::printf("  admission: cost estimate %.1f, waited %.3f ms\n",
                 trace.cost_estimate,
@@ -504,21 +487,7 @@ int RunQuery(const FlagSet& flags) {
     if (!executor.ok()) return Fail(executor.status());
     result = (*executor)->Submit(setup->query, options, &stats);
   } else {
-    std::unique_ptr<mc::ProbabilityEvaluator> evaluator;
-    if (evaluator_kind == "mc") {
-      evaluator = std::make_unique<mc::MonteCarloEvaluator>(
-          mc::MonteCarloOptions{.samples = static_cast<uint64_t>(*samples),
-                                .seed = 7});
-    } else if (evaluator_kind == "adaptive") {
-      evaluator = std::make_unique<mc::AdaptiveMonteCarloEvaluator>(
-          mc::AdaptiveMonteCarloOptions{
-              .max_samples = static_cast<uint64_t>(*samples), .seed = 7});
-    } else if (evaluator_kind == "imhof") {
-      evaluator = std::make_unique<mc::ImhofEvaluator>();
-    } else {
-      return Fail(Status::InvalidArgument("unknown evaluator '" +
-                                          evaluator_kind + "'"));
-    }
+    const auto evaluator = factory(0);
     result = engine.Execute(setup->query, options, evaluator.get(), &stats);
   }
   if (!result.ok()) return Fail(result.status());
@@ -526,7 +495,7 @@ int RunQuery(const FlagSet& flags) {
   std::printf("PRQ(delta=%.6g, theta=%.6g) strategy=%s evaluator=%s\n",
               setup->query.delta, setup->query.theta,
               core::StrategyName(*strategy).c_str(),
-              evaluator_kind.c_str());
+              evaluator_kind->c_str());
   std::printf("  index candidates: %zu, integrations: %zu, "
               "accepted free: %zu\n",
               stats.index_candidates, stats.integration_candidates,
@@ -866,14 +835,10 @@ int RunStorageQuery(const FlagSet& flags) {
   auto threads = flags.GetInt("threads", 1);
   if (!samples.ok()) return Fail(samples.status());
   if (!threads.ok()) return Fail(threads.status());
-  const std::string evaluator_kind = flags.GetString("evaluator", "imhof");
-  if (evaluator_kind != "imhof" && evaluator_kind != "mc" &&
-      evaluator_kind != "adaptive") {
-    return Fail(Status::InvalidArgument("unknown evaluator '" +
-                                        evaluator_kind + "'"));
-  }
+  auto evaluator_kind = EvaluatorKindFromFlags(flags);
+  if (!evaluator_kind.ok()) return Fail(evaluator_kind.status());
   auto executor = exec::BatchExecutor::CreateDetached(
-      MakeFactory(evaluator_kind, static_cast<uint64_t>(*samples)),
+      MakeFactory(*evaluator_kind, static_cast<uint64_t>(*samples)),
       static_cast<size_t>(*threads > 0 ? *threads : 1));
   if (!executor.ok()) return Fail(executor.status());
   storage::LivePrqEngine live(engine->get(), executor->get());

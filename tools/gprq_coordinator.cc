@@ -53,7 +53,6 @@ int Usage() {
       "                       mis-wired one (unreachable ones are fine)\n"
       "  --max-inflight N     pipelined requests per connection (default 32)\n"
       "  --max-connections N  accept-and-close beyond this (default 1024)\n"
-      "  --poller P           epoll|poll\n"
       "failpoints: remote.rpc.send / remote.rpc.recv (per-shard suffixed\n"
       "variants remote.rpc.send.<k>) via GPRQ_FAILPOINTS\n");
   return 2;
@@ -131,10 +130,6 @@ int Main(int argc, char** argv) {
   if (*port < 0 || *port > 65535) {
     return Fail(Status::InvalidArgument("--port must be in [0, 65535]"));
   }
-  const std::string poller = flags->GetString("poller", "");
-  if (!poller.empty() && poller != "epoll" && poller != "poll") {
-    return Fail(Status::InvalidArgument("--poller must be epoll or poll"));
-  }
 
   remote::RemoteEngineOptions engine_options;
   if (flags->Has("policy")) {
@@ -164,7 +159,6 @@ int Main(int argc, char** argv) {
   server_options.max_inflight_per_conn =
       static_cast<size_t>(*max_inflight > 0 ? *max_inflight : 1);
   server_options.max_connections = static_cast<size_t>(*max_connections);
-  server_options.force_poll = (poller == "poll");
 
   auto served = net::Server::Serve(engine->get(), server_options);
   if (!served.ok()) return Fail(served.status());

@@ -58,7 +58,6 @@ int Usage() {
       "  --max-inflight N     pipelined requests per connection (default 32)\n"
       "  --max-frame-bytes N  reject larger frames at the header\n"
       "  --max-connections N  accept-and-close beyond this (default 1024)\n"
-      "  --poller P           epoll|poll (default: epoll where available)\n"
       "  --drain-retry-ms N   retry_after_ms answered while draining\n"
       "failpoints: net.server.read / net.server.write via GPRQ_FAILPOINTS\n");
   return 2;
@@ -141,10 +140,6 @@ int Main(int argc, char** argv) {
     return Fail(
         Status::InvalidArgument("unknown evaluator '" + evaluator_kind + "'"));
   }
-  const std::string poller = flags->GetString("poller", "");
-  if (!poller.empty() && poller != "epoll" && poller != "poll") {
-    return Fail(Status::InvalidArgument("--poller must be epoll or poll"));
-  }
 
   net::ServerOptions server_options;
   server_options.host = flags->GetString("host", "127.0.0.1");
@@ -155,7 +150,6 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(*max_inflight > 0 ? *max_inflight : 1);
   server_options.max_frame_bytes = static_cast<size_t>(*max_frame);
   server_options.max_connections = static_cast<size_t>(*max_connections);
-  server_options.force_poll = (poller == "poll");
   server_options.drain_retry_after_seconds = *drain_retry_ms * 1e-3;
 
   const size_t workers = static_cast<size_t>(*threads > 0 ? *threads : 1);
